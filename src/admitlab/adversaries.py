@@ -10,6 +10,7 @@ stay integer-exact.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -47,15 +48,16 @@ def replay(committee: Committee, schedule: ReplacementSchedule,
     `require_votes` additionally asserts a minimum exact vote count at
     every step (used by constructions that promise more support than the
     bare threshold)."""
+    need = committee.threshold
+    if require_votes is not None:
+        need = max(need, require_votes)
     counts = []
     for idx, (i, y) in enumerate(schedule.steps):
         votes = committee.vote_count(i, y)
         counts.append(votes)
-        if require_votes is not None and votes < require_votes:
+        if votes < need:
             return ReplayResult(committee, False, idx, counts)
-        ok, committee = committee.replace_attempt(i, y)
-        if not ok:
-            return ReplayResult(committee, False, idx, counts)
+        committee = committee._swap(i, y)
     return ReplayResult(committee, True, None, counts)
 
 
@@ -203,7 +205,10 @@ def geometric_tightness_run(k: int, ell: int) -> TightnessRun:
                 f"geometric construction step {idx} illegal: "
                 f"{votes} < {cur.threshold}")
         ok, cur = cur.replace_attempt(i, y)
-        assert ok
+        if not ok:
+            raise ArithmeticError(
+                f"geometric construction step {idx} rejected by the engine "
+                f"after {votes} counted votes")
     # each gap drifts at most 1/d grid units from the exact ratio power, so
     # any position (a gap sum) is within len(gaps)/d units of ideal; a vote
     # comparison combines four positions
@@ -331,10 +336,7 @@ def removal_schedule(initial: Committee) -> ReplacementSchedule:
         # replace the current smallest (position 1); mirrored runs operate
         # on the reflected profile, so map back to position n and negate
         del values[0]
-        pos = 0
-        while pos < len(values) and values[pos] <= y:
-            pos += 1
-        values.insert(pos, y)
+        insort(values, y)
         if mirrored:
             out.append((n, -y))
         else:
@@ -532,7 +534,10 @@ def fuzz_on_committee(committee: Committee, accepted_target: int, rng: Rng,
         misses = 0
         i, y = pick
         ok, cur = cur.replace_attempt(i, y)
-        assert ok, "sampled replacement must be accepted"
+        if not ok:
+            raise ArithmeticError(
+                f"sampled replacement ({i}, {y}) rejected at accepted step "
+                f"{accepted}")
         accepted += 1
     return cur, accepted
 
@@ -598,7 +603,10 @@ def committee_fuzz(n: int, ell: int, accepted_target: int, rng: Rng,
             i, y = pick
             prev = cur
             ok, cur = cur.replace_attempt(i, y)
-            assert ok, "sampled replacement must be accepted"
+            if not ok:
+                raise ArithmeticError(
+                    f"sampled replacement ({i}, {y}) rejected at accepted "
+                    f"step {report.accepted}")
             report.accepted += 1
             in_epoch += 1
             if consensus_checks:

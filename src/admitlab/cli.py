@@ -107,20 +107,16 @@ def parse_config(text: str) -> ExperimentConfig:
     for key in doc:
         if key not in allowed:
             raise ConfigError(key, "unknown key")
-    if "seed" not in doc or not isinstance(doc["seed"], int):
-        raise ConfigError("seed", "a mandatory integer")
-    cfg = ExperimentConfig(kind=kind, seed=doc["seed"], raw=doc)
+    seed = _int_field(doc, "seed", required=True)
+    cfg = ExperimentConfig(kind=kind, seed=seed, raw=doc)
 
     if kind == "grow":
         cfg.rule = _parse_rule(doc.get("rule"))
         cfg.initial = _parse_initial(doc.get("initial"), cfg.rule)
-        cfg.accepted = doc.get("accepted")
-        cfg.raw_budget = doc.get("raw_budget")
+        cfg.accepted = _int_field(doc, "accepted", minimum=1)
+        cfg.raw_budget = _int_field(doc, "raw_budget", minimum=1)
         if cfg.accepted is None and cfg.raw_budget is None:
             raise ConfigError("accepted", "need accepted or raw_budget")
-        if cfg.accepted is not None and (not isinstance(cfg.accepted, int)
-                                         or cfg.accepted <= 0):
-            raise ConfigError("accepted", "must be a positive integer")
         cfg.mode = doc.get("mode", "steps")
         if cfg.mode not in ("steps", "jump"):
             raise ConfigError("mode", f"must be steps or jump, got {cfg.mode!r}")
@@ -141,14 +137,10 @@ def parse_config(text: str) -> ExperimentConfig:
                                   "consensus has no fixed-point gap")
             cfg.assert_final_gap_below = float(gap_bound)
     elif kind == "committee":
-        cfg.n = doc.get("n")
-        cfg.ell = doc.get("ell")
-        cfg.steps = doc.get("steps", 1000)
+        cfg.n = _int_field(doc, "n", minimum=3, required=True)
+        cfg.ell = _int_field(doc, "ell", minimum=0, required=True)
+        cfg.steps = _int_field(doc, "steps", minimum=1, default=1000)
         cfg.consensus_checks = bool(doc.get("consensus_checks", False))
-        if not isinstance(cfg.n, int) or cfg.n < 3:
-            raise ConfigError("n", "committee size must be an integer >= 3")
-        if not isinstance(cfg.ell, int) or cfg.ell < 0:
-            raise ConfigError("ell", "must be a non-negative integer")
         if cfg.n % 2 == 0:
             # drift/potential monitors are stated for odd sizes only
             raise ConfigError("n", "monitored committee runs require odd n")
@@ -159,9 +151,12 @@ def parse_config(text: str) -> ExperimentConfig:
         if cfg.construction not in ("drift", "tightness", "immunity", "removal"):
             raise ConfigError("construction",
                               "one of drift|tightness|immunity|removal")
-        cfg.n = doc.get("n")
-        cfg.k = doc.get("k")
-        cfg.ell = doc.get("ell")
+        cfg.n = _int_field(doc, "n", minimum=3)
+        cfg.k = _int_field(doc, "k", minimum=1,
+                           required=cfg.construction != "drift")
+        cfg.ell = _int_field(doc, "ell", minimum=1,
+                             required=cfg.construction in ("tightness",
+                                                           "immunity"))
         cfg.target_displacement = doc.get("target_displacement")
         cfg.d = doc.get("d")
         cfg.D = doc.get("D")
@@ -179,7 +174,7 @@ def parse_config(text: str) -> ExperimentConfig:
         if cfg.suite not in VERIFY_SUITES:
             raise ConfigError("suite",
                               f"unknown suite; pick from {sorted(VERIFY_SUITES)}")
-        cfg.trials = doc.get("trials")
+        cfg.trials = _int_field(doc, "trials", minimum=1)
     elif kind == "sweep":
         base = doc.get("base")
         if not isinstance(base, dict):
@@ -188,9 +183,27 @@ def parse_config(text: str) -> ExperimentConfig:
         if not isinstance(axis, dict) or len(axis) != 1:
             raise ConfigError("axis", "exactly one {key: [values]} pair")
         seeds = doc.get("seeds")
-        if not isinstance(seeds, list) or not seeds:
+        if not isinstance(seeds, list) or not seeds or not all(
+                isinstance(v, int) and not isinstance(v, bool) for v in seeds):
             raise ConfigError("seeds", "non-empty list of integer seeds")
     return cfg
+
+
+def _int_field(doc: dict, key: str, minimum: Optional[int] = None,
+               required: bool = False, default: Optional[int] = None):
+    """doc[key] as an integer, or `default` when the key is absent.
+
+    JSON true/false are rejected although bool is an int subclass."""
+    value = doc.get(key, default)
+    if value is None:
+        if required:
+            raise ConfigError(key, "a mandatory integer")
+        return None
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(key, f"must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(key, f"must be >= {minimum}, got {value}")
+    return value
 
 
 def _parse_rule(node) -> RuleSpec:

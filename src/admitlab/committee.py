@@ -14,7 +14,7 @@ one.
 from __future__ import annotations
 
 import numbers
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -23,6 +23,10 @@ def _check_rational(x, what: str):
     if isinstance(x, float) or not isinstance(x, numbers.Rational):
         raise TypeError(f"{what} must be an exact rational, got {type(x).__name__}")
     return x
+
+
+def _double(v):
+    return 2 * v
 
 
 class Committee:
@@ -67,18 +71,27 @@ class Committee:
         return self.values[i - 1]
 
     def vote_count(self, i: int, y) -> int:
-        """Members j != i with |x_j - y| <= |x_j - x_i| (weak preference)."""
+        """Members j != i with |x_j - y| <= |x_j - x_i| (weak preference).
+
+        Squaring both sides gives 2*x_j*(x_i - y) <= x_i^2 - y^2, so for
+        y != x_i voter j weakly prefers y exactly when x_j lies on y's side
+        of the midpoint (x_i + y)/2, the midpoint itself included: for
+        y > x_i the voters are the members with 2*x_j >= x_i + y, for
+        y < x_i those with 2*x_j <= x_i + y.  Member i is never on y's
+        side, and at y == x_i every other member ties.  One bisection of
+        the sorted profile thus counts the votes in O(log n) exact
+        comparisons.
+        """
         if not 1 <= i <= self.n:
             raise IndexError(f"member index {i} out of range 1..{self.n}")
         _check_rational(y, "candidate")
         xi = self.values[i - 1]
-        count = 0
-        for j, xj in enumerate(self.values):
-            if j == i - 1:
-                continue
-            if abs(xj - y) <= abs(xj - xi):
-                count += 1
-        return count
+        if y == xi:
+            return self.n - 1
+        s = xi + y
+        if y > xi:
+            return self.n - bisect_left(self.values, s, key=_double)
+        return bisect_right(self.values, s, key=_double)
 
     def replace_attempt(self, i: int, y) -> tuple[bool, "Committee"]:
         """Swap member i for candidate y if the vote meets the threshold.
@@ -87,9 +100,12 @@ class Committee:
         vote fails, and a re-sorted profile with a fresh member id when it
         succeeds.
         """
-        votes = self.vote_count(i, y)
-        if votes < self.threshold:
+        if self.vote_count(i, y) < self.threshold:
             return False, self
+        return True, self._swap(i, y)
+
+    def _swap(self, i: int, y) -> "Committee":
+        """Member i replaced by y under a fresh id; the caller took the vote."""
         vals = list(self.values)
         ids = list(self.ids)
         del vals[i - 1]
@@ -97,11 +113,10 @@ class Committee:
         pos = bisect_right(vals, y)
         vals.insert(pos, y)
         ids.insert(pos, self._next_id)
-        new = Committee((), 0, _internal=(
+        return Committee((), 0, _internal=(
             tuple(vals), tuple(ids), self.n, self.ell, self.threshold,
             self.initial_x1, self.initial_xn, self.diameter,
             self._next_id + 1))
-        return True, new
 
     def median(self):
         if self.n % 2 == 0:
@@ -212,9 +227,11 @@ def drift_bound_check(initial: Committee, current: Committee) -> tuple[bool, obj
         raise ValueError("drift bound only applies for ell >= 1")
     k = (n - 1) // 2
     ell = initial.ell
-    bound = Fraction(initial.diameter * k, 2 * ell - 1)
-    hi = initial.initial_xn + bound
-    lo = initial.initial_x1 - bound
-    right_slack = hi - current.values[k - ell + 2 - 1]
-    left_slack = current.values[k + ell - 1] - lo
-    return right_slack >= 0 and left_slack >= 0, right_slack, left_slack
+    # both bounds multiplied through by 2*ell - 1, so integer profiles are
+    # decided in integers; a slack is its scaled value over 2*ell - 1
+    m = 2 * ell - 1
+    dk = initial.diameter * k
+    right = m * (initial.initial_xn - current.values[k - ell + 2 - 1]) + dk
+    left = m * (current.values[k + ell - 1] - initial.initial_x1) + dk
+    return (right >= 0 and left >= 0,
+            Fraction(right, m), Fraction(left, m))

@@ -161,7 +161,7 @@ def run(initial: GroupState, rule: RuleSpec, rng: Rng,
             u = uniform()
             if p_acc < 1.0:
                 # failures before the first success, then the success itself
-                skipped = int(math.log(1.0 - u) / math.log(1.0 - p_acc)) if u < 1.0 else 0
+                skipped = int(math.log(1.0 - u) / math.log1p(-p_acc)) if u < 1.0 else 0
                 if raw_budget is not None and raw + skipped + 1 > raw_budget:
                     raw = raw_budget
                     break

@@ -35,6 +35,10 @@ import numpy as np
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _INV53 = 2.0 ** -53
+_BLOCK = 256  # draws per block when uniform_block steps blocks side by side
+# below this many draws, building the jump rows (about as costly as 5,000
+# single steps) outweighs what the side-by-side blocks save
+_TABLE_MIN = 8192
 
 
 def _mix64(z: int) -> int:
@@ -86,9 +90,53 @@ class Rng:
     def uniform_block(self, n: int) -> np.ndarray:
         """`n` uniforms as a float64 array, same stream as repeated uniform().
 
-        The tight local-variable loop keeps bulk Monte Carlo affordable in
-        pure Python; vectorized consumers do the rest in numpy.
+        From _TABLE_MIN draws on, whole blocks of _BLOCK draws come from
+        `_u64_blocks` and only the tail is stepped one draw at a time.  The
+        outputs and the final state equal those of n calls to next_u64().
         """
+        if n < _TABLE_MIN:
+            raw = self._u64_steps(n)
+        else:
+            raw = self._u64_blocks(n // _BLOCK)
+            if n % _BLOCK:
+                raw = np.concatenate([raw, self._u64_steps(n % _BLOCK)])
+        return (raw >> np.uint64(11)).astype(np.float64) * _INV53
+
+    def _u64_blocks(self, blocks: int) -> np.ndarray:
+        """`blocks * _BLOCK` raw outputs as uint64, the blocks side by side.
+
+        Each block's start state is _BLOCK steps past the previous one,
+        found in Python from `_jump_rows`; numpy then advances all blocks
+        together, one generator step per row of the s1 history.
+        """
+        jump = _jump_rows()
+        state = self.s0 | self.s1 << 64 | self.s2 << 128 | self.s3 << 192
+        starts = bytearray()
+        for _ in range(blocks):
+            starts += state.to_bytes(32, "little")
+            nxt = 0
+            for rows in jump:
+                nxt ^= rows[state & 255]
+                state >>= 8
+            state = nxt
+        self.s0 = state & _MASK
+        self.s1 = state >> 64 & _MASK
+        self.s2 = state >> 128 & _MASK
+        self.s3 = state >> 192
+        lanes = np.frombuffer(starts, dtype="<u8").astype(np.uint64)
+        lanes = np.ascontiguousarray(lanes.reshape(blocks, 4).T)
+        s1_hist = np.empty((_BLOCK, blocks), dtype=np.uint64)
+        _step_lanes(*lanes, s1_hist)
+        x = s1_hist.T.reshape(-1)
+        x *= np.uint64(5)
+        out = x << np.uint64(7)
+        x >>= np.uint64(57)
+        out |= x
+        out *= np.uint64(9)
+        return out
+
+    def _u64_steps(self, n: int) -> np.ndarray:
+        """`n` raw outputs as uint64, one generator step at a time."""
         s0, s1, s2, s3 = self.s0, self.s1, self.s2, self.s3
         out = [0] * n
         for i in range(n):
@@ -102,8 +150,7 @@ class Rng:
             s2 ^= t
             s3 = ((s3 << 45) | (s3 >> 19)) & _MASK
         self.s0, self.s1, self.s2, self.s3 = s0, s1, s2, s3
-        arr = np.array(out, dtype=np.uint64)
-        return (arr >> np.uint64(11)).astype(np.float64) * _INV53
+        return np.array(out, dtype=np.uint64)
 
     def split(self, index: int) -> "Rng":
         """Independent child stream for trial `index` (deterministic)."""
@@ -112,3 +159,42 @@ class Rng:
 
     def state(self) -> tuple[int, int, int, int]:
         return (self.s0, self.s1, self.s2, self.s3)
+
+
+def _step_lanes(s0, s1, s2, s3, s1_hist: np.ndarray):
+    """Step uint64 state lanes once per row of `s1_hist`, recording s1
+    before each step; returns the final lanes."""
+    for row in s1_hist:
+        row[:] = s1
+        t = s1 << np.uint64(17)
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3 = (s3 << np.uint64(45)) | (s3 >> np.uint64(19))
+    return s0, s1, s2, s3
+
+
+def _jump_rows() -> list:
+    """rows[c][v]: the state _BLOCK steps on from the state whose byte c is
+    v and every other bit zero (s0 holds bits 0..63), as a 256-bit int.
+
+    The state update is linear over GF(2), so any state's image is the XOR
+    of its 32 bytes' rows.
+    """
+    bit = np.arange(256)
+    one = np.left_shift(np.uint64(1), (bit % 64).astype(np.uint64))
+    basis = [np.where(bit // 64 == w, one, np.uint64(0)) for w in range(4)]
+    after = _step_lanes(*basis, np.empty((_BLOCK, 256), dtype=np.uint64))
+    images = [int(a) | int(b) << 64 | int(c) << 128 | int(d) << 192
+              for a, b, c, d in zip(*after)]
+    jump = []
+    for c in range(32):
+        rows = [0] * 256
+        for j in range(8):
+            lo = 1 << j
+            for v in range(lo):
+                rows[lo + v] = rows[v] ^ images[8 * c + j]
+        jump.append(rows)
+    return jump

@@ -224,6 +224,22 @@ def test_removal_schedule_rejected_in_immunity_phase():
         removal_schedule(Committee([1, 1, 2, 3, 4, 5, 6], ell=2))
 
 
+def _illegal_pick(committee, rng):
+    # the median swapped for a candidate far right of everyone: 0 votes
+    return (committee.n + 1) // 2, 4 * committee.values[-1] + 1
+
+
+def test_fuzz_raises_typed_error_on_rejected_pick(monkeypatch):
+    from admitlab import adversaries
+
+    monkeypatch.setattr(adversaries, "_sample_int_replacement", _illegal_pick)
+    with pytest.raises(ArithmeticError, match="rejected at accepted step 0"):
+        adversaries.committee_fuzz(11, 2, 10, Rng(3))
+    with pytest.raises(ArithmeticError, match="rejected at accepted step 0"):
+        adversaries.fuzz_on_committee(Committee(list(range(1, 12)), ell=2),
+                                      10, Rng(3))
+
+
 # --------------------------------------------------------------- sampling
 
 def test_legal_intervals_majority_everything_near():

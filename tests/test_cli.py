@@ -46,6 +46,39 @@ def test_unknown_keys_rejected():
     assert err.value.path == "bogus"
 
 
+_GROW = {"kind": "grow", "rule": "majority", "accepted": 10, "seed": 1}
+_COMMITTEE = {"kind": "committee", "n": 7, "ell": 1, "steps": 10, "seed": 1}
+_REMOVAL = {"kind": "adversary", "construction": "removal", "k": 1, "seed": 1}
+
+
+@pytest.mark.parametrize("base, key, value", [
+    (_COMMITTEE, "steps", -5),
+    (_COMMITTEE, "steps", 0),
+    (_COMMITTEE, "steps", True),
+    (_COMMITTEE, "n", True),
+    (_COMMITTEE, "ell", False),
+    (_COMMITTEE, "ell", None),
+    (_COMMITTEE, "seed", True),
+    (_GROW, "seed", False),
+    (_GROW, "seed", 1.5),
+    (_GROW, "accepted", True),
+    (_GROW, "raw_budget", 0),
+    (_REMOVAL, "k", None),
+    (_REMOVAL, "k", True),
+    ({"kind": "adversary", "construction": "tightness", "k": 3,
+      "seed": 1}, "ell", None),
+])
+def test_integer_fields_validated(base, key, value):
+    doc = dict(base)
+    if value is None:
+        doc.pop(key, None)
+    else:
+        doc[key] = value
+    with pytest.raises(ConfigError) as err:
+        _parse(doc)
+    assert err.value.path == key
+
+
 def test_seed_mandatory():
     with pytest.raises(ConfigError):
         _parse({"kind": "grow", "rule": "majority", "accepted": 10})

@@ -1,17 +1,34 @@
 """Exact committee engine: votes, replacement, potential, drift, monotone."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from admitlab.committee import (
     Committee,
     drift_bound_check,
     shift_lemma_check,
 )
-from admitlab.adversaries import legal_intervals, sample_accepted_replacement
+from admitlab.adversaries import (
+    legal_intervals,
+    removal_schedule,
+    replay,
+    sample_accepted_replacement,
+)
+from admitlab.cli import RunRecord, emit_outputs
 from admitlab.rng import Rng
+
+
+def _brute_votes(c: Committee, i: int, y) -> int:
+    """The rule as stated: members j != i with |x_j - y| <= |x_j - x_i|."""
+    xi = c.values[i - 1]
+    return sum(1 for j, xj in enumerate(c.values, start=1)
+               if j != i and abs(xj - y) <= abs(xj - xi))
 
 
 def test_rejects_floats():
@@ -132,12 +149,132 @@ def test_vote_count_brute_force_agreement():
         for _ in range(10):
             i = rnd.randrange(1, n + 1)
             y = rnd.randrange(-50, 260)
-            xi = c.opinion(i)
-            brute = sum(1 for j, xj in enumerate(c.values, start=1)
-                        if j != i and abs(xj - y) <= abs(xj - xi))
+            brute = _brute_votes(c, i, y)
             assert c.vote_count(i, y) == brute
             accepted, _ = c.replace_attempt(i, y)
             assert accepted == (brute >= c.threshold)
+
+
+_rationals = st.one_of(
+    st.integers(-40, 40),
+    st.fractions(min_value=-40, max_value=40, max_denominator=12))
+
+
+@st.composite
+def _vote_cases(draw):
+    # members drawn from a small pool, so duplicate values are common
+    pool = draw(st.lists(_rationals, min_size=1, max_size=8))
+    values = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=15))
+    n = len(values)
+    c = Committee(values, ell=draw(st.integers(0, (n - 1) // 2)))
+    i = draw(st.integers(1, n))
+    xi = c.values[i - 1]
+    # the vote count jumps at the reflections 2*x_j - x_i, where ties sit
+    reflections = [2 * xj - xi for xj in c.values]
+    beyond = draw(st.fractions(min_value=Fraction(1, 7), max_value=100))
+    y = draw(st.one_of(
+        st.just(xi),
+        st.sampled_from(reflections),
+        st.sampled_from(c.values),
+        st.just(c.values[0] - beyond),
+        st.just(c.values[-1] + beyond),
+        _rationals))
+    return c, i, y
+
+
+@settings(max_examples=600, deadline=None)
+@given(_vote_cases())
+def test_vote_count_matches_brute_force_on_exact_profiles(case):
+    c, i, y = case
+    brute = _brute_votes(c, i, y)
+    assert c.vote_count(i, y) == brute
+    accepted, after = c.replace_attempt(i, y)
+    assert accepted == (brute >= c.threshold)
+    if accepted:
+        rest = list(c.values)
+        del rest[i - 1]
+        assert after.values == tuple(sorted(rest + [y]))
+        assert after.ids.count(c._next_id) == 1
+    else:
+        assert after is c
+
+
+def test_vote_count_ties_and_duplicates_by_hand():
+    c = Committee([0, 2, 2, 6], ell=0)
+    assert c.vote_count(1, 0) == 3           # re-election: everyone ties
+    assert c.vote_count(1, 4) == 3           # both 2s tie at the midpoint
+    assert c.vote_count(1, Fraction(41, 10)) == 1
+    assert c.vote_count(4, -2) == 3          # y at the 2s' reflection
+    assert c.vote_count(4, Fraction(-21, 10)) == 1
+    assert c.vote_count(2, 2) == 3           # the twin ties at distance 0
+    assert c.vote_count(2, 6) == 1           # ... and keeps the incumbent
+
+
+def _brute_replay(committee: Committee, steps, need: int):
+    counts = []
+    for i, y in steps:
+        votes = _brute_votes(committee, i, y)
+        counts.append(votes)
+        assert votes >= need
+        vals = list(committee.values)
+        ids = list(committee.ids)
+        del vals[i - 1]
+        del ids[i - 1]
+        pos = sum(1 for v in vals if v <= y)
+        vals.insert(pos, y)
+        ids.insert(pos, committee._next_id)
+        committee = Committee((), 0, _internal=(
+            tuple(vals), tuple(ids), committee.n, committee.ell,
+            committee.threshold, committee.initial_x1, committee.initial_xn,
+            committee.diameter, committee._next_id + 1))
+    return counts, committee
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_removal_replay_matches_brute_force_step_loop(k):
+    n = 4 * k + 3
+    initial = Committee(list(range(1, n + 1)), ell=k + 1)
+    sched = removal_schedule(initial)
+    res = replay(initial, sched, require_votes=3 * k + 2)
+    assert res.accepted_all
+    counts, final = _brute_replay(initial, sched.steps, 3 * k + 2)
+    assert res.vote_counts == counts
+    assert res.committee.values == final.values
+    assert res.committee.ids == final.ids
+
+
+# sha256 of the schedule.json that `admitlab adversary` writes for the
+# removal construction, recorded before the vote count used bisection
+_REMOVAL_SCHEDULE_SHA256 = {
+    1: "15c00aef9fa8ef82a98b4e80ee2962715ae95a91b218789ba77123c3f7f2360d",
+    2: "e6a4091d0a8d784d5d58689b935574ee3c81297bc10ef258c426a68f32a0ff9c",
+    3: "a25d04a4bba3973f8526b99117ac05b960251932c54e5c9e30e669fa6cc924cc",
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_removal_schedule_json_is_pinned(k, tmp_path):
+    n = 4 * k + 3
+    sched = removal_schedule(Committee(list(range(1, n + 1)), ell=k + 1))
+    record = RunRecord({}, 1, "", "adversary", 0.0, {}, {}, schedule=sched)
+    emit_outputs(record, str(tmp_path))
+    blob = (tmp_path / "schedule.json").read_bytes()
+    assert json.loads(blob)["provenance"] == "no-immunity-removal"
+    assert hashlib.sha256(blob).hexdigest() == _REMOVAL_SCHEDULE_SHA256[k]
+
+
+def test_drift_bound_check_fraction_profiles():
+    c = Committee([Fraction(1, 3), 1, Fraction(5, 2), 4, 7], ell=2)
+    holds, rs, ls = drift_bound_check(c, c)
+    # k=2, ell=2: x'_2 <= 7 + Dk/3 and x'_4 >= 1/3 - Dk/3, Dk/3 = 40/9
+    assert holds
+    assert rs == 7 + Fraction(40, 9) - 1
+    assert ls == 4 - Fraction(1, 3) + Fraction(40, 9)
+    far = Committee([Fraction(1, 3), 12, 13, 14, 15], ell=2)
+    holds, rs, ls = drift_bound_check(c, far)
+    assert not holds
+    assert rs == 7 + Fraction(40, 9) - 12
+    assert ls == 14 - Fraction(1, 3) + Fraction(40, 9)
 
 
 def test_json_profile_round_trip():

@@ -150,6 +150,19 @@ def test_run_argument_validation():
             accepted_target=5, mode="jump")  # jump is veto-only
 
 
+@pytest.mark.parametrize("r, seed", [(0.9, 245), (0.95, 1)])
+def test_jump_mode_survives_vanishing_acceptance(r, seed):
+    # acceptance near 1e-16 and below: these seeds hit ZeroDivisionError
+    # (r=0.9 at 1,626 members, r=0.95 at 1,437) while the skip law used
+    # log(1 - p_acc), which rounds to log(1.0) = 0
+    g = GroupState([1.0])
+    traj = run(g, RuleSpec("veto", r=r), Rng(seed), accepted_target=3000,
+               mode="jump")
+    assert not traj.exhausted
+    assert traj.accepted == 3000
+    assert traj.raw_steps >= traj.accepted
+
+
 def test_custom_quantile_rule_runs():
     def below_quantile_rule(q, pair):
         return Decision.ADMIT_LEFT if pair.y1 < q else Decision.ADMIT_NONE

@@ -1,6 +1,7 @@
 """Determinism and distributional sanity of the replayable generator."""
 
 import numpy as np
+import pytest
 
 from admitlab.rng import Rng
 
@@ -29,6 +30,20 @@ def test_block_matches_sequential():
     assert seq == list(blk)
     # continuing either way stays in sync
     assert a.uniform() == b.uniform()
+
+
+@pytest.mark.parametrize("n", [0, 1, 8191, 8192, 8193, 8192 + 255, 20000])
+def test_block_lengths_match_steps_and_state(n):
+    # from 8192 draws on, whole 256-draw blocks come from the jump tables
+    # and the tail is stepped
+    for seed in (3, 2 ** 64 - 1):
+        a = Rng(seed)
+        b = Rng(seed)
+        raw = [a.next_u64() for _ in range(n)]
+        blk = b.uniform_block(n)
+        assert blk.dtype == np.float64 and len(blk) == n
+        assert [(r >> 11) * 2.0 ** -53 for r in raw] == list(blk)
+        assert a.state() == b.state()
 
 
 def test_pair_is_sorted_and_advances_two():
