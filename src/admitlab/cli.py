@@ -66,9 +66,9 @@ class ExperimentConfig:
     steps: Optional[int] = None
     construction: Optional[str] = None
     consensus_checks: bool = False
-    target_displacement: Optional[float] = None
-    d: Optional[str] = None
-    D: Optional[str] = None
+    target_displacement: Optional[Fraction] = None
+    d: Optional[Fraction] = None
+    D: Optional[Fraction] = None
     # oracle evaluation
     oracle: Optional[str] = None
     grid: Optional[list] = None
@@ -123,13 +123,16 @@ def parse_config(text: str) -> ExperimentConfig:
         if cfg.mode == "jump" and cfg.rule.kind != "veto":
             raise ConfigError("mode", "jump mode is veto-only")
         cfg.log_admitted = bool(doc.get("log_admitted", False))
-        cfg.extra_quantiles = tuple(doc.get("extra_quantiles", ()))
-        for q in cfg.extra_quantiles:
-            if not 0.0 <= q <= 1.0:
+        extra = doc.get("extra_quantiles", [])
+        if not isinstance(extra, list):
+            raise ConfigError("extra_quantiles", "must be a list")
+        for q in extra:
+            if not _is_number(q) or not 0.0 <= q <= 1.0:
                 raise ConfigError("extra_quantiles", f"{q!r} outside [0, 1]")
+        cfg.extra_quantiles = tuple(extra)
         gap_bound = doc.get("assert_final_gap_below")
         if gap_bound is not None:
-            if not isinstance(gap_bound, (int, float)) or gap_bound <= 0:
+            if not _is_number(gap_bound) or not gap_bound > 0:
                 raise ConfigError("assert_final_gap_below",
                                   "must be a positive number")
             if cfg.rule.kind == "consensus":
@@ -157,18 +160,27 @@ def parse_config(text: str) -> ExperimentConfig:
         cfg.ell = _int_field(doc, "ell", minimum=1,
                              required=cfg.construction in ("tightness",
                                                            "immunity"))
-        cfg.target_displacement = doc.get("target_displacement")
-        cfg.d = doc.get("d")
-        cfg.D = doc.get("D")
-        cfg.initial = doc.get("initial")
+        cfg.target_displacement = _rational_field(doc, "target_displacement")
+        cfg.d = _rational_field(doc, "d")
+        cfg.D = _rational_field(doc, "D")
+        initial = doc.get("initial")
+        if initial is not None:
+            if not isinstance(initial, list) or not initial:
+                raise ConfigError("initial", "must be a non-empty list")
+            cfg.initial = [_rational(v, "initial") for v in initial]
     elif kind == "oracle":
         cfg.oracle = doc.get("oracle")
         if cfg.oracle not in _ORACLES:
             raise ConfigError("oracle", f"unknown oracle {cfg.oracle!r}")
         cfg.grid = doc.get("grid")
-        if not isinstance(cfg.grid, list) or not cfg.grid:
+        if not isinstance(cfg.grid, list) or not cfg.grid or \
+                not all(_is_number(x) for x in cfg.grid):
             raise ConfigError("grid", "non-empty list of evaluation points")
         cfg.p = doc.get("p")
+        if cfg.p is not None and not (_is_number(cfg.p) and 0.5 < cfg.p < 1.0):
+            raise ConfigError("p", f"must be in (1/2, 1), got {cfg.p!r}")
+        if cfg.p is None and cfg.oracle == "truncated_triangle_cdf":
+            raise ConfigError("p", f"{cfg.oracle} needs the veto quantile p")
     elif kind == "verify":
         cfg.suite = doc.get("suite", "quick")
         if cfg.suite not in VERIFY_SUITES:
@@ -206,6 +218,32 @@ def _int_field(doc: dict, key: str, minimum: Optional[int] = None,
     return value
 
 
+def _is_number(value) -> bool:
+    """A JSON number; true/false are not numbers here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _rational(value, key: str):
+    """An exact positive rational, given as an int or a "num/den" string;
+    ints stay ints, strings become Fractions."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ConfigError(key, f'must be an integer or a "num/den" string, '
+                               f'got {value!r}')
+    try:
+        x = Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(key, f"not an exact rational: {value!r}") from None
+    if x <= 0:
+        raise ConfigError(key, f"must be positive, got {value!r}")
+    return value if isinstance(value, int) else x
+
+
+def _rational_field(doc: dict, key: str):
+    """doc[key] through `_rational`, or None when the key is absent."""
+    value = doc.get(key)
+    return None if value is None else _rational(value, key)
+
+
 def _parse_rule(node) -> RuleSpec:
     if not isinstance(node, (dict, str)):
         raise ConfigError("rule", "must be an object or rule name")
@@ -233,7 +271,7 @@ def _parse_initial(node, rule: RuleSpec) -> list:
     if not isinstance(node, list) or not node:
         raise ConfigError("initial", "must be a non-empty list")
     for v in node:
-        if not isinstance(v, (int, float)) or not 0.0 <= v <= 1.0:
+        if not _is_number(v) or not 0.0 <= v <= 1.0:
             raise ConfigError("initial", f"opinion {v!r} outside [0, 1]")
     return [float(v) for v in node]
 
@@ -341,9 +379,8 @@ def _run_adversary(cfg: ExperimentConfig) -> RunRecord:
     summary: dict = {}
     schedule = None
     if c == "drift":
-        init_vals = cfg.initial if cfg.initial else list(range(1, (cfg.n or 7) + 1))
-        committee = Committee([Fraction(v) if not isinstance(v, int) else v
-                               for v in init_vals], ell=0)
+        committee = Committee(cfg.initial or list(range(1, (cfg.n or 7) + 1)),
+                              ell=0)
         target = Fraction(cfg.target_displacement or 100) * committee.diameter
         schedule = adversaries.arithmetic_drift_schedule(committee, target)
         res = adversaries.replay(committee, schedule)
@@ -360,7 +397,7 @@ def _run_adversary(cfg: ExperimentConfig) -> RunRecord:
                    "steps": len(tr.schedule.steps)}
     elif c == "immunity":
         com = adversaries.immunity_config(cfg.k, cfg.ell,
-                                          Fraction(cfg.d or 1), Fraction(cfg.D or 1))
+                                          cfg.d or 1, cfg.D or 1)
         ok, votes, _ = adversaries.one_step_irreplaceable(com, 2 * cfg.k + 2)
         verdicts["median_irreplaceable"] = ok
         summary = {"n": com.n, "threshold": com.threshold, "max_votes": votes}
@@ -398,7 +435,10 @@ _ORACLES = {
 
 def _run_oracle(cfg: ExperimentConfig) -> RunRecord:
     fn = _ORACLES[cfg.oracle]
-    rows = [(x, fn(x, cfg.p)) for x in cfg.grid]
+    try:
+        rows = [(x, fn(x, cfg.p)) for x in cfg.grid]
+    except ValueError as e:  # p is checked at parse; the point left its domain
+        raise ConfigError("grid", str(e)) from None
     summary = {"oracle": cfg.oracle, "rows": [[x, v] for x, v in rows]}
     return RunRecord(cfg.raw, cfg.seed, _config_hash(cfg.raw), "oracle",
                      0.0, {"evaluated": True}, summary)

@@ -1,20 +1,24 @@
-"""Discrete-time growth engine: seeded draws, rule dispatch, checkpointing.
+"""Discrete-time growth engine: seeded draws, rule kernels, checkpointing.
 
 A run is fully determined by (initial group, rule, targets, seed).  Raw
 steps and accepted members are counted separately because veto and
 consensus rules reject candidates in many steps.
 
-Two sampling modes are available for veto rules:
+Two sampling modes are available:
 
-* ``steps`` (default): every raw step draws a candidate pair and applies the
-  rule, exactly as the process is defined.
-* ``jump``: the number of consecutive rejected steps is sampled from the
-  geometric law implied by the total acceptance probability, and the
-  admitted value is drawn from the exact conditional distribution of the
-  accepted candidate.  Same process law, radically cheaper when the
-  acceptance probability collapses (r > 1/2 runs need ~k^2 raw steps for k
-  accepted members, which is unreachable step by step).  Trajectories from
-  the two modes are different sample paths of the same distribution.
+* ``steps`` (default, every rule): one driver draws a sorted candidate pair
+  per raw step and applies the rule's kernel from `rules.kernel`, its
+  decision on the cached summary (median, extremes or a quantile), which is
+  re-read only after a member joins.  It takes the same draws and decisions
+  as a loop over `step`.
+* ``jump`` (veto rules only): the number of consecutive rejected steps is
+  sampled from the geometric law implied by the total acceptance
+  probability `oracles.accept_any_veto`, and the admitted value is drawn
+  from the exact conditional distribution of the accepted candidate.  Same
+  process law, radically cheaper when the acceptance probability collapses
+  (r > 1/2 runs need ~k^2 raw steps for k accepted members, which is
+  unreachable step by step).  Trajectories from the two modes are
+  different sample paths of the same distribution.
 """
 
 from __future__ import annotations
@@ -24,8 +28,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .group import GroupState
+from .oracles import accept_any_veto
 from .rng import Rng
-from .rules import CandidatePair, Decision, RuleSpec, decide
+from .rules import CandidatePair, Decision, RuleSpec, decide, kernel
 
 
 @dataclass(frozen=True)
@@ -80,18 +85,14 @@ def _next_checkpoint(k: int) -> int:
     return max(k + 1, -(-21 * k // 20))
 
 
-def _accepted_veto_value(q: float, v: float) -> float:
+def _accepted_veto_value(q: float, p_acc: float, v: float) -> float:
     """Inverse CDF of the admitted opinion given acceptance at quantile q.
 
     From the geometry of the acceptance region {(y1, y2): (y1+y2)/2 < q}:
     the admitted candidate is the pair maximum m, with P(m <= x) equal to
     x^2 below q and x^2 - 2(x-q)^2 above, normalized by the total
-    acceptance probability.
+    acceptance probability p_acc.
     """
-    if q <= 0.5:
-        p_acc = 2.0 * q * q
-    else:
-        p_acc = 1.0 - 2.0 * (1.0 - q) ** 2
     vp = v * p_acc
     if vp <= q * q:
         return math.sqrt(vp)
@@ -130,10 +131,8 @@ def run(initial: GroupState, rule: RuleSpec, rng: Rng,
     checkpoints: list[Checkpoint] = []
     admitted: Optional[list] = [] if log_admitted else None
     raw = 0
-    next_ck = group.size  # checkpoint the initial state too
 
     p = rule.p
-    kind = rule.kind
     uniform = rng.uniform
     insert = group.insert
     quantile = group.quantile
@@ -145,17 +144,14 @@ def run(initial: GroupState, rule: RuleSpec, rng: Rng,
         checkpoints.append(Checkpoint(group.size, raw, q, gap,
                                       group.min(), group.max(), extra))
 
-    record()
+    record()  # the initial state is checkpoint 0
     next_ck = _next_checkpoint(group.size)
 
     if mode == "jump":
         while (goal is None or group.size < goal) and \
               (raw_budget is None or raw < raw_budget):
             q = quantile(p)
-            if q <= 0.5:
-                p_acc = 2.0 * q * q
-            else:
-                p_acc = 1.0 - 2.0 * (1.0 - q) ** 2
+            p_acc = accept_any_veto(q)
             if p_acc <= 0.0:
                 break  # stuck process: report exhaustion below
             u = uniform()
@@ -168,15 +164,17 @@ def run(initial: GroupState, rule: RuleSpec, rng: Rng,
                 raw += skipped + 1
             else:
                 raw += 1
-            y = _accepted_veto_value(q, uniform())
+            y = _accepted_veto_value(q, p_acc, uniform())
             insert(y)
             if admitted is not None:
                 admitted.append(y)
             if group.size >= next_ck:
                 record()
                 next_ck = _next_checkpoint(group.size)
-    elif kind == "majority":
-        median = group.median
+    else:
+        summary, decision = kernel(rule, group)
+        left, none = Decision.ADMIT_LEFT, Decision.ADMIT_NONE
+        s = summary()
         while (goal is None or group.size < goal) and \
               (raw_budget is None or raw < raw_budget):
             u1 = uniform()
@@ -184,68 +182,17 @@ def run(initial: GroupState, rule: RuleSpec, rng: Rng,
             if u2 < u1:
                 u1, u2 = u2, u1
             raw += 1
-            m = median()
-            y = u1 if abs(m - u1) <= abs(m - u2) else u2
-            insert(y)
-            if admitted is not None:
-                admitted.append(y)
-            if group.size >= next_ck:
-                record()
-                next_ck = _next_checkpoint(group.size)
-    elif kind == "veto":
-        q2 = 2.0 * quantile(p)  # threshold only moves when a member joins
-        while (goal is None or group.size < goal) and \
-              (raw_budget is None or raw < raw_budget):
-            u1 = uniform()
-            u2 = uniform()
-            if u2 < u1:
-                u1, u2 = u2, u1
-            raw += 1
-            if u1 + u2 < q2:
-                insert(u2)
-                q2 = 2.0 * quantile(p)
-                if admitted is not None:
-                    admitted.append(u2)
-                if group.size >= next_ck:
-                    record()
-                    next_ck = _next_checkpoint(group.size)
-    elif kind == "consensus":
-        gmin, gmax = group.min, group.max
-        while (goal is None or group.size < goal) and \
-              (raw_budget is None or raw < raw_budget):
-            u1 = uniform()
-            u2 = uniform()
-            if u2 < u1:
-                u1, u2 = u2, u1
-            raw += 1
-            mid = 0.5 * (u1 + u2)
-            lo, hi = gmin(), gmax()
-            if mid >= hi:
-                y = u1
-            elif mid < lo:
-                y = u2
-            else:
+            d = decision(s, u1, u2)
+            if d is none:
                 continue
-            # unanimity only ever admits near the extremes; defensive check
-            assert y <= 2.0 * lo or y >= 2.0 * hi - 1.0, \
-                "consensus admitted a candidate outside the extreme intervals"
+            y = u1 if d is left else u2
             insert(y)
+            s = summary()  # every summary moves only when a member joins
             if admitted is not None:
                 admitted.append(y)
             if group.size >= next_ck:
                 record()
                 next_ck = _next_checkpoint(group.size)
-    else:  # custom quantile-driven rule: generic (slower) path
-        while (goal is None or group.size < goal) and \
-              (raw_budget is None or raw < raw_budget):
-            rec = step(group, rule, rng, raw)
-            raw += 1
-            if rec.admitted_value is not None:
-                if admitted is not None:
-                    admitted.append(rec.admitted_value)
-                if group.size >= next_ck:
-                    record()
-                    next_ck = _next_checkpoint(group.size)
 
     if checkpoints[-1].k != group.size:  # k strictly increasing per checkpoint
         record()

@@ -30,24 +30,43 @@ def majority_convergence_worker(seed: int, accepted: int = 10 ** 6,
     }
 
 
+def outside_extreme_intervals(initial, admitted) -> int:
+    """Admissions outside [0, 2*x1] or [2*xk - 1, 1], where x1 and xk are
+    the group's extremes just before each admission.
+
+    A unanimous vote admits the left candidate only when the pair midpoint
+    is at or above xk, and the right one only when it is below x1, so a
+    consensus run counts 0.
+    """
+    lo, hi = min(initial), max(initial)
+    outside = 0
+    for y in admitted:
+        if not (y <= 2.0 * lo or y >= 2.0 * hi - 1.0):
+            outside += 1
+        lo, hi = min(lo, y), max(hi, y)
+    return outside
+
+
 def consensus_extremes_worker(seed: int,
                               milestones=(10 ** 3, 10 ** 4, 10 ** 5),
                               initial=(0.5,)) -> dict:
-    """Extreme positions at raw-step milestones for one consensus run.
-
-    The structural invariant (admissions confined to the extreme
-    intervals) is asserted inside the engine on every accepted step.
-    """
+    """Extreme positions at raw-step milestones for one consensus run, and
+    the count of admissions outside the extreme intervals (the structural
+    invariant; 0 on a correct run)."""
     group = GroupState(initial)
     rng = Rng(seed)
     rule = RuleSpec("consensus")
     out = {"milestones": list(milestones), "x1": [], "xk": []}
+    admitted = []
     done = 0
     for t in milestones:
-        run(group, rule, rng, raw_budget=t - done)
+        admitted += run(group, rule, rng, raw_budget=t - done,
+                        log_admitted=True).admitted
         done = t
         out["x1"].append(group.min())
         out["xk"].append(group.max())
+    out["outside_extreme_intervals"] = outside_extreme_intervals(initial,
+                                                                 admitted)
     return out
 
 

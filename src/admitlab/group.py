@@ -114,13 +114,6 @@ class GroupState:
             return self.count_lt(hi) - self.count_lt(lo)
         raise ValueError(f"unknown bounds convention {bounds!r}")
 
-    def rank_of(self, x: float) -> int:
-        """1-based rank of the first occurrence of x (x must be a member)."""
-        r = self.count_lt(x) + 1
-        if r > self._size or self.select(r) != x:
-            raise ValueError(f"{x!r} is not a member")
-        return r
-
     def quantile_rank(self, p: float) -> int:
         """Rank of the p-quantile: max(1, ceil(p * size)), computed exactly.
 
@@ -161,12 +154,3 @@ class GroupState:
         for b in self._buckets:
             out.extend(b)
         return out
-
-    def copy(self) -> "GroupState":
-        g = GroupState(nbuckets=self._nb)
-        g._tree = list(self._tree)
-        g._buckets = [list(b) for b in self._buckets]
-        g._size = self._size
-        g._min = self._min
-        g._max = self._max
-        return g

@@ -81,12 +81,6 @@ class Rng:
         """One uniform variate on [0, 1) with 53 random bits."""
         return (self.next_u64() >> 11) * _INV53
 
-    def pair(self) -> tuple[float, float]:
-        """Two independent uniforms, returned sorted (advances by 2 draws)."""
-        a = self.uniform()
-        b = self.uniform()
-        return (a, b) if a <= b else (b, a)
-
     def uniform_block(self, n: int) -> np.ndarray:
         """`n` uniforms as a float64 array, same stream as repeated uniform().
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import Callable, Optional
 
 from .group import GroupState
@@ -19,6 +20,14 @@ class Decision(Enum):
     ADMIT_LEFT = "left"
     ADMIT_RIGHT = "right"
     ADMIT_NONE = "none"
+
+
+# Plain names for the members: in the decisions below, which run once per
+# raw step, `Decision.ADMIT_LEFT` would cost a class attribute lookup
+# (about 0.2 us on CPython 3.11) on every call.
+ADMIT_LEFT = Decision.ADMIT_LEFT
+ADMIT_RIGHT = Decision.ADMIT_RIGHT
+ADMIT_NONE = Decision.ADMIT_NONE
 
 
 @dataclass(frozen=True)
@@ -35,39 +44,40 @@ class CandidatePair:
             object.__setattr__(self, "y2", b)
 
 
-def majority_decide(median: float, pair: CandidatePair) -> Decision:
+def majority_decide(median: float, y1: float, y2: float) -> Decision:
     """Admit the candidate closer to the median; exact tie admits the left."""
-    if abs(median - pair.y1) <= abs(median - pair.y2):
-        return Decision.ADMIT_LEFT
-    return Decision.ADMIT_RIGHT
+    if abs(median - y1) <= abs(median - y2):
+        return ADMIT_LEFT
+    return ADMIT_RIGHT
 
 
-def consensus_decide(min_member: float, max_member: float,
-                     pair: CandidatePair) -> Decision:
+def consensus_decide(extremes: tuple, y1: float, y2: float) -> Decision:
     """Admit only on a unanimous vote (ties vote left).
 
-    All members vote left exactly when every member is at or below the
-    candidate midpoint, and right exactly when every member is strictly
-    above it.
+    `extremes` is the (min, max) member pair.  All members vote left
+    exactly when every member is at or below the candidate midpoint, and
+    right exactly when every member is strictly above it.
     """
-    mid = 0.5 * (pair.y1 + pair.y2)
+    min_member, max_member = extremes
+    mid = 0.5 * (y1 + y2)
     if mid >= max_member:
-        return Decision.ADMIT_LEFT
+        return ADMIT_LEFT
     if mid < min_member:
-        return Decision.ADMIT_RIGHT
-    return Decision.ADMIT_NONE
+        return ADMIT_RIGHT
+    return ADMIT_NONE
 
 
-def veto_decide(q_threshold: float, pair: CandidatePair) -> Decision:
+def veto_decide(q_threshold: float, y1: float, y2: float) -> Decision:
     """Right candidate joins iff the pair midpoint is strictly below the
     (1-r)-quantile; the left candidate can never join."""
-    if 0.5 * (pair.y1 + pair.y2) < q_threshold:
-        return Decision.ADMIT_RIGHT
-    return Decision.ADMIT_NONE
+    if 0.5 * (y1 + y2) < q_threshold:
+        return ADMIT_RIGHT
+    return ADMIT_NONE
 
 
-# Signature for custom quantile-driven rules: (q_p, pair) -> Decision.
-QuantileDecisionFn = Callable[[float, CandidatePair], Decision]
+# Signature of every decision, custom quantile-driven rules included:
+# (summary, y1, y2) -> Decision with y1 <= y2.
+QuantileDecisionFn = Callable[[float, float, float], Decision]
 
 
 @dataclass(frozen=True)
@@ -106,32 +116,33 @@ class RuleSpec:
         if self.c1 <= 0 or self.c2 <= 0:
             raise ValueError("smoothness constants must be positive")
 
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind}
-        if self.kind == "veto":
-            d["r"] = self.r
-        elif self.kind == "quantile":
-            d["p"] = self.p
-        return d
 
-    @staticmethod
-    def from_dict(d: dict) -> "RuleSpec":
-        kind = d.get("kind")
-        if kind == "veto":
-            return RuleSpec(kind="veto", r=d.get("r"))
-        if kind in ("majority", "consensus"):
-            return RuleSpec(kind=kind)
-        raise ValueError(f"unknown or non-serializable rule kind {kind!r}")
+# kind -> (reader of the rule's summary bound to a group and p, decision);
+# a custom quantile rule brings its own decision.
+_KERNELS = {
+    "majority": (lambda group, p: group.median, majority_decide),
+    "consensus": (lambda group, p: lambda: (group.min(), group.max()),
+                  consensus_decide),
+    "veto": (lambda group, p: partial(group.quantile, p), veto_decide),
+    "quantile": (lambda group, p: partial(group.quantile, p), None),
+}
+
+
+def kernel(rule: RuleSpec, group: GroupState) -> tuple:
+    """The rule's summary reader bound to `group`, and its decision.
+
+    The reader takes no argument and returns the only summary the rule
+    sees (median, (min, max) or the p-quantile); the summary changes only
+    when a member joins.  The decision maps (summary, y1, y2), y1 <= y2,
+    to a Decision.
+    """
+    bind, decision = _KERNELS[rule.kind]
+    return bind(group, rule.p), decision or rule.decision_fn
 
 
 def decide(rule: RuleSpec, group: GroupState, pair: CandidatePair) -> Decision:
-    """Dispatch to the rule-specific decision on the summary it needs."""
-    if group.size == 0:
-        raise ValueError("cannot decide on an empty group")
-    if rule.kind == "majority":
-        return majority_decide(group.median(), pair)
-    if rule.kind == "consensus":
-        return consensus_decide(group.min(), group.max(), pair)
-    if rule.kind == "veto":
-        return veto_decide(group.quantile(rule.p), pair)
-    return rule.decision_fn(group.quantile(rule.p), pair)
+    """The rule's decision on the pair, read from the group's summary.
+
+    An empty group has no summary: reading it raises ValueError."""
+    summary, decision = kernel(rule, group)
+    return decision(summary(), pair.y1, pair.y2)

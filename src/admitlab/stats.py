@@ -1,17 +1,17 @@
 """Statistical validators tying simulations to the closed-form oracles.
 
-Everything here is a measurement: empirical CDFs and KS distances against
-limit laws, member-density monitors over the group, frozen-summary Monte
-Carlo of single-step acceptance probabilities, empirical smoothness
-certification, the quantile-progress experiment, and the convergence-rate
-diagnostic.  Pass thresholds used by the acceptance suite are fixtures
-committed with the repo.
+Everything here is a measurement: KS distances against limit laws,
+member-density monitors over the group, frozen-summary Monte Carlo of
+single-step acceptance probabilities, empirical smoothness certification,
+the quantile-progress experiment, and the convergence-rate diagnostic.
+Pass thresholds used by the acceptance suite are fixtures committed with
+the repo.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -22,24 +22,7 @@ from .rng import Rng
 from .rules import RuleSpec
 
 
-# ------------------------------------------------------------------- ECDF
-
-class Ecdf:
-    """Right-continuous empirical CDF of a sample."""
-
-    def __init__(self, samples: Sequence[float]):
-        if len(samples) == 0:
-            raise ValueError("empty sample")
-        self.xs = np.sort(np.asarray(samples, dtype=float))
-        self.n = len(self.xs)
-
-    def __call__(self, x) -> float:
-        return np.searchsorted(self.xs, x, side="right") / self.n
-
-
-def ecdf(samples: Sequence[float]) -> Ecdf:
-    return Ecdf(samples)
-
+# --------------------------------------------------------------------- KS
 
 def ks_distance(samples: Sequence[float], cdf: Callable[[float], float]) -> float:
     """Two-sided sup distance between the sample ECDF and a reference CDF.
@@ -59,69 +42,9 @@ def ks_distance(samples: Sequence[float], cdf: Callable[[float], float]) -> floa
 
 # ------------------------------------------------------- density profiling
 
-@dataclass
-class DensityProfile:
-    """Per-segment member counts over a delta partition of [0, 1].
-
-    When bound constants are configured, `verdicts` holds one entry per
-    aligned window of width delta, 2*delta and 4*delta: (lo, hi, count,
-    lower, upper, ok).
-    """
-
-    k: int
-    delta: float
-    counts: np.ndarray
-    edges: np.ndarray
-    bounds: Optional[tuple] = None      # (c1_prime, c2_prime)
-    verdicts: list = field(default_factory=list)
-
-    @property
-    def all_within_bounds(self) -> bool:
-        return all(ok for *_, ok in self.verdicts)
-
-
 def default_delta(k: int) -> float:
     """The paper-scale partition width k^(-1/10)."""
     return k ** -0.1
-
-
-def density_profile(group: GroupState, delta: float,
-                    c1_prime: Optional[float] = None,
-                    c2_prime: Optional[float] = None) -> DensityProfile:
-    """Member counts per delta-segment; segments are [i*d, (i+1)*d), the
-    last one closed at 1.
-
-    With both bound constants given, every aligned window of width delta,
-    2*delta and 4*delta is additionally checked against
-
-        c1' * |I| * delta * k  <=  count  <=  c2' * |I| * k
-    """
-    if not 0.0 < delta <= 1.0:
-        raise ValueError(f"delta={delta!r} outside (0, 1]")
-    nseg = max(1, math.ceil(1.0 / delta - 1e-12))
-    edges = np.minimum(np.arange(nseg + 1) * delta, 1.0)
-    edges[-1] = 1.0
-    counts = np.empty(nseg, dtype=int)
-    for i in range(nseg):
-        if i == nseg - 1:
-            counts[i] = group.count_interval(edges[i], 1.0, "closed")
-        else:
-            counts[i] = group.count_interval(edges[i], edges[i + 1], "half_open")
-    prof = DensityProfile(group.size, delta, counts, edges)
-    if c1_prime is not None and c2_prime is not None:
-        prof.bounds = (c1_prime, c2_prime)
-        k = group.size
-        for mult in (1, 2, 4):
-            width = mult * delta
-            for start in range(nseg - mult + 1):
-                lo = float(edges[start])
-                hi = min(lo + width, 1.0)
-                cnt = int(counts[start:start + mult].sum())
-                lower = c1_prime * width * delta * k
-                upper = c2_prime * width * k
-                prof.verdicts.append(
-                    (lo, hi, cnt, lower, upper, lower <= cnt <= upper))
-    return prof
 
 
 @dataclass
@@ -356,8 +279,11 @@ def quantile_progress_test(rule: RuleSpec, ctx: OracleContext,
         q0 = group.quantile(rule.p)
         gap0 = abs(q0 - ctx.tau)
         # neighborhood occupancy is part of the proposition's hypotheses
-        assert group.count_interval(q0 - sigma, q0, "closed") >= t
-        assert group.count_interval(q0, q0 + sigma, "closed") >= t
+        for lo, hi in ((q0 - sigma, q0), (q0, q0 + sigma)):
+            if group.count_interval(lo, hi, "closed") < t:
+                raise ValueError(
+                    f"hypothesis: at least t={t} members in the "
+                    f"sigma-neighborhood [{lo}, {hi}] fails (trial {trial})")
         engine_run(group, rule, sub, accepted_target=t)
         q1 = group.quantile(rule.p)
         gap1 = abs(q1 - ctx.tau)

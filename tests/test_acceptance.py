@@ -98,10 +98,12 @@ def test_criterion_05_consensus_extreme_decay(pool):
         ok = all(x1 <= 10.0 / math.sqrt(t) and xk >= 1.0 - 10.0 / math.sqrt(t)
                  for t, x1, xk in zip(m["milestones"], m["x1"], m["xk"]))
         good += ok
-    # the structural interval invariant is asserted inside the engine on
-    # every accepted consensus step, so completing is the 100% evidence
-    _verdict(5, "consensus extreme decay", good >= 95,
-             f"{good}/100 seeds inside 10/sqrt(t) at all milestones")
+    # the structural interval invariant is the 100% evidence: every admission
+    # of every seed is checked against the extreme intervals before it
+    outside = sum(m["outside_extreme_intervals"] for m in res)
+    _verdict(5, "consensus extreme decay", good >= 95 and outside == 0,
+             f"{good}/100 seeds inside 10/sqrt(t) at all milestones; "
+             f"{outside} admissions outside the extreme intervals")
 
 
 def test_criterion_06_veto_extreme_side(pool):

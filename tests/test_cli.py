@@ -1,6 +1,10 @@
 """Config parsing, experiment runners, output emission, CLI surface."""
 
+import hashlib
 import json
+import os
+from fractions import Fraction
+
 import pytest
 
 from admitlab.cli import (
@@ -77,6 +81,67 @@ def test_integer_fields_validated(base, key, value):
     with pytest.raises(ConfigError) as err:
         _parse(doc)
     assert err.value.path == key
+
+
+_IMMUNITY = {"kind": "adversary", "construction": "immunity", "k": 1,
+             "ell": 1, "seed": 1}
+_DRIFT = {"kind": "adversary", "construction": "drift", "n": 7, "seed": 1}
+_ORACLE = {"kind": "oracle", "oracle": "g_r", "grid": [0.01], "seed": 1}
+
+
+@pytest.mark.parametrize("base, key, value", [
+    (_IMMUNITY, "d", True),
+    (_IMMUNITY, "d", "abc"),
+    (_IMMUNITY, "d", -2),
+    (_IMMUNITY, "d", 0.5),
+    (_IMMUNITY, "D", "1/0"),
+    (_IMMUNITY, "D", "-1/3"),
+    (_DRIFT, "target_displacement", 0),
+    (_DRIFT, "target_displacement", False),
+    (_DRIFT, "initial", [1, 2, "q"]),
+    (_DRIFT, "initial", [1, 2, True]),
+    (_DRIFT, "initial", []),
+    (_ORACLE, "grid", [True, 0.7]),
+    (_ORACLE, "grid", ["x"]),
+    (_ORACLE, "p", "hi"),
+    (_ORACLE, "p", True),
+    (_ORACLE, "p", 0.25),
+    ({"kind": "oracle", "oracle": "truncated_triangle_cdf", "grid": [0.5],
+      "seed": 1}, "p", None),
+    (_GROW, "extra_quantiles", ["a"]),
+    (_GROW, "extra_quantiles", [True]),
+    (_GROW, "extra_quantiles", [1.5]),
+    (_GROW, "extra_quantiles", 0.5),
+    (_GROW, "initial", [True]),
+    (_GROW, "assert_final_gap_below", True),
+])
+def test_free_form_fields_validated(base, key, value):
+    doc = dict(base)
+    if value is None:
+        doc.pop(key, None)
+    else:
+        doc[key] = value
+    with pytest.raises(ConfigError) as err:
+        _parse(doc)
+    assert err.value.path == key
+
+
+def test_oracle_point_outside_domain_names_grid():
+    cfg = _parse({"kind": "oracle", "oracle": "tau", "grid": [0.75, 0.2],
+                  "seed": 1})
+    with pytest.raises(ConfigError) as err:
+        run_experiment(cfg)
+    assert err.value.path == "grid"
+
+
+def test_exact_rational_fields_accepted():
+    cfg = _parse(dict(_IMMUNITY, d="1/2", D=3))
+    assert (cfg.d, cfg.D) == (Fraction(1, 2), 3)
+    rec = run_experiment(cfg)
+    assert rec.passed
+    rec = run_experiment(_parse(dict(_DRIFT, initial=[1, "5/2", 4, 7, 9],
+                                     target_displacement="3/2")))
+    assert rec.passed
 
 
 def test_seed_mandatory():
@@ -242,3 +307,51 @@ def test_cli_replay_round_trip(tmp_path):
     rc = main(["replay", "--schedule", str(tmp_path / "schedule.json"),
                "--profile", str(prof)])
     assert rc == 0
+
+
+# sha256 of trajectory.csv, of summary.json without wall_clock_s (keys
+# sorted) and of the admitted list (float reprs joined by commas), recorded
+# before the per-rule engine loops became one kernel driver
+_PINNED_RUNS = {
+    "majority": ({"kind": "grow", "seed": 11, "rule": "majority",
+                  "initial": [0.25], "accepted": 20000, "log_admitted": True,
+                  "extra_quantiles": [0.25, 0.75]},
+                 "8adb0ce7a5d1ee133eb2684ca49a22d851d43061b89914e55f084d969e39c5f8",
+                 "2f8f53809176d5879d46e81f0235bc4b38771292e0cbc42f0f8409db657777d0",
+                 "dd8219308cb87fc94541fd1d5806c14ed2b260b2723cb37c04f04394bdc414c5"),
+    "veto-0.25": ({"kind": "grow", "seed": 12,
+                   "rule": {"kind": "veto", "r": 0.25}, "accepted": 20000,
+                   "log_admitted": True},
+                  "a06f6121b671bdde9f4e17310a5c97c336fcafe8275b226eddb7bc92c453f017",
+                  "44683942ed103ba06efa3525b5ea3d6032d0b85a56d3502b8ef4405f5e7126c3",
+                  "4e5b11e345b4b03fce550ecbbae8246e5028d825f43e5b879fe40f28cd287b6c"),
+    "veto-0.75-jump": ({"kind": "grow", "seed": 13,
+                        "rule": {"kind": "veto", "r": 0.75}, "accepted": 20000,
+                        "mode": "jump", "log_admitted": True},
+                       "7e8cf036b3bc8df14c45d07f76b1bc83b0d7a95e7fd95c8be09ea583393063f5",
+                       "10c4ecb6c817715046cec9ad86ceb728dffc66e64e5fd864f54d5480b65e6244",
+                       "3baa8f81f6a62e43010bebf6daf76de7467e042299a8eb405b489b1abc294926"),
+    "consensus": ({"kind": "grow", "seed": 14, "rule": "consensus",
+                   "initial": [0.5], "raw_budget": 200000,
+                   "log_admitted": True},
+                  "5459e87fabea4b4a9f3f8a96228d581f3941ae9a8dc8e98eb006da0d8594e5f4",
+                  "d421d64c104aac38a5ed844a486b00602b5940d8a176e45db2ff1f2868c0a8b7",
+                  "4549bacd4493554acef8b567010109514f520d867daa283b99ac20f903d39a4c"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_RUNS))
+def test_grow_outputs_are_pinned(name, tmp_path):
+    doc, traj_sha, summary_sha, admitted_sha = _PINNED_RUNS[name]
+    cfg = _parse(doc)
+    rec = run_experiment(cfg)
+    emit_outputs(rec, str(tmp_path), cfg.extra_quantiles)
+    with open(os.path.join(tmp_path, "trajectory.csv"), "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == traj_sha
+    with open(os.path.join(tmp_path, "summary.json")) as fh:
+        summary = json.load(fh)
+    summary.pop("wall_clock_s")
+    blob = json.dumps(summary, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == summary_sha
+    admitted = ",".join(map(repr, rec.trajectory.admitted)).encode()
+    assert hashlib.sha256(admitted).hexdigest() == admitted_sha

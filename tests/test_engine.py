@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from admitlab.engine import draw_pair, run, step
+from admitlab.engine import Checkpoint, _next_checkpoint, draw_pair, run, step
 from admitlab.group import GroupState
 from admitlab.oracles import accept_any_veto
 from admitlab.rng import Rng
@@ -121,13 +121,14 @@ def test_extra_quantiles_recorded():
 
 def test_consensus_interval_invariant_on_every_accept():
     # every admitted opinion sits in [0, 2*x1] or [2*xk - 1, 1] of the
-    # pre-insertion state; the run itself asserts this, so a completed run
-    # with admissions is the evidence
+    # pre-insertion state
+    from admitlab.experiments import outside_extreme_intervals
+
     g = GroupState([0.45, 0.55])
     traj = run(g, RuleSpec("consensus"), Rng(17), raw_budget=200000,
                log_admitted=True)
     assert traj.accepted > 0
-    assert traj.admitted
+    assert outside_extreme_intervals([0.45, 0.55], traj.admitted) == 0
 
 
 def test_budget_exhaustion_reported_not_raised():
@@ -163,11 +164,12 @@ def test_jump_mode_survives_vanishing_acceptance(r, seed):
     assert traj.raw_steps >= traj.accepted
 
 
-def test_custom_quantile_rule_runs():
-    def below_quantile_rule(q, pair):
-        return Decision.ADMIT_LEFT if pair.y1 < q else Decision.ADMIT_NONE
+def _below_quantile_left(q, y1, y2):
+    return Decision.ADMIT_LEFT if y1 < q else Decision.ADMIT_NONE
 
-    rule = RuleSpec("quantile", p=0.5, decision_fn=below_quantile_rule)
+
+def test_custom_quantile_rule_runs():
+    rule = RuleSpec("quantile", p=0.5, decision_fn=_below_quantile_left)
     g = GroupState([0.5])
     traj = run(g, rule, Rng(23), accepted_target=100, raw_budget=100000)
     assert traj.accepted == 100
@@ -223,7 +225,9 @@ def test_jump_mode_admitted_distribution_matches():
     rng = Rng(31)
     for q in (0.3, 0.75):
         n = 20000
-        vals = sorted(_accepted_veto_value(q, rng.uniform()) for _ in range(n))
+        p_acc = accept_any_veto(q)
+        vals = sorted(_accepted_veto_value(q, p_acc, rng.uniform())
+                      for _ in range(n))
         # reference: rejection-sample pairs, keep max when midpoint < q
         ref_rng = Rng(33)
         ref = []
@@ -237,3 +241,68 @@ def test_jump_mode_admitted_distribution_matches():
         ks = np.max(np.abs(np.arange(1, n + 1) / n -
                            np.searchsorted(ref, vals, side="right") / n))
         assert ks < 0.02  # ~1.36*sqrt(2/n) at alpha=0.05 is 0.0136; slack for ties
+
+
+def _step_loop(group, rule, rng, accepted_target=None, raw_budget=None,
+               tau=None, extra_quantiles=()):
+    """Reference for `run` in steps mode: a plain loop over `step`,
+    checkpointed on the same geometric schedule."""
+    goal = None if accepted_target is None else group.size + accepted_target
+    checkpoints, admitted, raw = [], [], 0
+
+    def record():
+        q = None if rule.p is None else group.quantile(rule.p)
+        gap = None if q is None or tau is None else abs(q - tau)
+        checkpoints.append(Checkpoint(
+            group.size, raw, q, gap, group.min(), group.max(),
+            {ep: group.quantile(ep) for ep in extra_quantiles}))
+
+    record()
+    next_ck = _next_checkpoint(group.size)
+    while (goal is None or group.size < goal) and \
+            (raw_budget is None or raw < raw_budget):
+        rec = step(group, rule, rng, raw)
+        raw += 1
+        if rec.admitted_value is not None:
+            admitted.append(rec.admitted_value)
+            if group.size >= next_ck:
+                record()
+                next_ck = _next_checkpoint(group.size)
+    if checkpoints[-1].k != group.size:
+        record()
+    return checkpoints, admitted, raw
+
+
+@pytest.mark.parametrize("rule, initial, budget", [
+    (RuleSpec("majority"), [0.25], {"accepted_target": 3000}),
+    (RuleSpec("consensus"), [0.5], {"raw_budget": 20000}),
+    (RuleSpec("veto", r=0.25), [1.0], {"accepted_target": 3000}),
+    (RuleSpec("veto", r=0.75), [1.0], {"accepted_target": 300,
+                                       "raw_budget": 20000}),
+    (RuleSpec("quantile", p=0.3, decision_fn=_below_quantile_left), [0.5],
+     {"accepted_target": 2000, "raw_budget": 20000}),
+], ids=["majority", "consensus", "veto-0.25", "veto-0.75", "custom"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_run_matches_step_loop(rule, initial, budget, seed):
+    # the steps-mode driver takes the same draws and decisions as step()
+    tau = 0.5 if rule.kind == "majority" else None
+    extra = (0.25, 0.9)
+    traj = run(GroupState(initial), rule, Rng(seed), log_admitted=True,
+               tau=tau, extra_quantiles=extra, **budget)
+    ref_cks, ref_admitted, ref_raw = _step_loop(
+        GroupState(initial), rule, Rng(seed), tau=tau,
+        extra_quantiles=extra, **budget)
+    assert traj.checkpoints == ref_cks
+    assert traj.admitted == ref_admitted
+    assert traj.raw_steps == ref_raw
+    assert traj.accepted == len(ref_admitted) > 0
+
+
+def test_outside_extreme_intervals_counts_hand_made_log():
+    from admitlab.experiments import outside_extreme_intervals
+
+    # from {0.1, 0.9} the intervals are [0, 0.2] and [0.8, 1]; after 0.05
+    # joins the left one shrinks to [0, 0.1], so the second 0.15 is outside
+    log = [0.15, 0.5, 0.05, 0.15, 0.95]
+    assert outside_extreme_intervals([0.1, 0.9], log) == 2
+    assert outside_extreme_intervals([0.1, 0.9], log[:1]) == 0

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from admitlab.engine import draw_pair
 from admitlab.rng import Rng
 
 
@@ -47,12 +48,13 @@ def test_block_lengths_match_steps_and_state(n):
 
 
 def test_pair_is_sorted_and_advances_two():
+    # the engine's pair draw: the next two uniforms, sorted
     a = Rng(5)
     b = Rng(5)
-    y1, y2 = a.pair()
+    pair = draw_pair(a)
     u, v = b.uniform(), b.uniform()
-    assert (y1, y2) == ((u, v) if u <= v else (v, u))
-    assert y1 <= y2
+    assert (pair.y1, pair.y2) == ((u, v) if u <= v else (v, u))
+    assert a.state() == b.state()
 
 
 def test_split_streams_are_distinct_and_deterministic():

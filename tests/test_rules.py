@@ -19,22 +19,22 @@ from admitlab.rules import (
 
 
 def test_majority_examples():
-    assert majority_decide(0.4, CandidatePair(0.3, 0.6)) is Decision.ADMIT_LEFT
-    assert majority_decide(0.5, CandidatePair(0.4, 0.6)) is Decision.ADMIT_LEFT  # tie
-    assert majority_decide(0.1, CandidatePair(0.5, 0.9)) is Decision.ADMIT_LEFT
-    assert majority_decide(0.8, CandidatePair(0.1, 0.7)) is Decision.ADMIT_RIGHT
+    assert majority_decide(0.4, 0.3, 0.6) is Decision.ADMIT_LEFT
+    assert majority_decide(0.5, 0.4, 0.6) is Decision.ADMIT_LEFT  # tie
+    assert majority_decide(0.1, 0.5, 0.9) is Decision.ADMIT_LEFT
+    assert majority_decide(0.8, 0.1, 0.7) is Decision.ADMIT_RIGHT
 
 
 def test_consensus_examples():
-    assert consensus_decide(0.4, 0.6, CandidatePair(0.1, 0.15)) is Decision.ADMIT_RIGHT
-    assert consensus_decide(0.4, 0.6, CandidatePair(0.3, 0.7)) is Decision.ADMIT_NONE
-    assert consensus_decide(0.4, 0.6, CandidatePair(0.7, 0.9)) is Decision.ADMIT_LEFT
+    assert consensus_decide((0.4, 0.6), 0.1, 0.15) is Decision.ADMIT_RIGHT
+    assert consensus_decide((0.4, 0.6), 0.3, 0.7) is Decision.ADMIT_NONE
+    assert consensus_decide((0.4, 0.6), 0.7, 0.9) is Decision.ADMIT_LEFT
 
 
 def test_veto_examples():
-    assert veto_decide(0.6, CandidatePair(0.3, 0.7)) is Decision.ADMIT_RIGHT
-    assert veto_decide(0.6, CandidatePair(0.5, 0.9)) is Decision.ADMIT_NONE
-    assert veto_decide(0.6, CandidatePair(0.6, 0.6)) is Decision.ADMIT_NONE  # strict
+    assert veto_decide(0.6, 0.3, 0.7) is Decision.ADMIT_RIGHT
+    assert veto_decide(0.6, 0.5, 0.9) is Decision.ADMIT_NONE
+    assert veto_decide(0.6, 0.6, 0.6) is Decision.ADMIT_NONE  # strict
 
 
 def test_pair_normalizes():
@@ -74,11 +74,6 @@ def test_rulespec_validation():
     assert RuleSpec("veto", r=0.25).c2 == 4.0
 
 
-def test_rulespec_round_trip():
-    for rule in [RuleSpec("majority"), RuleSpec("consensus"), RuleSpec("veto", r=0.3)]:
-        assert RuleSpec.from_dict(rule.to_dict()) == rule
-
-
 def _vote_left(member, y1, y2):
     # member votes for the closer candidate, ties vote left
     return abs(member - y1) <= abs(member - y2)
@@ -98,7 +93,7 @@ def test_majority_matches_vote_count():
         left_votes = sum(_vote_left(m, pair.y1, pair.y2) for m in members)
         expected = Decision.ADMIT_LEFT if 2 * left_votes >= len(members) \
             else Decision.ADMIT_RIGHT
-        assert majority_decide(g.median(), pair) is expected
+        assert majority_decide(g.median(), pair.y1, pair.y2) is expected
 
 
 def test_consensus_matches_unanimity():
@@ -121,7 +116,7 @@ def test_consensus_matches_unanimity():
             expected = Decision.ADMIT_RIGHT
         else:
             expected = Decision.ADMIT_NONE
-        assert consensus_decide(g.min(), g.max(), pair) is expected
+        assert consensus_decide((g.min(), g.max()), pair.y1, pair.y2) is expected
 
 
 def test_veto_matches_fraction_count():
@@ -141,7 +136,7 @@ def test_veto_matches_fraction_count():
         k = len(members)
         right_voters = sum(m >= mid for m in members)
         need = Fraction(r) * k
-        got = veto_decide(g.quantile(p), pair)
+        got = veto_decide(g.quantile(p), pair.y1, pair.y2)
         if Fraction(right_voters) > need:
             assert got is Decision.ADMIT_RIGHT
         elif Fraction(right_voters) < need:
@@ -155,6 +150,6 @@ def test_veto_matches_fraction_count():
 @settings(max_examples=150, deadline=None)
 @given(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1))
 def test_decisions_are_pure(m, a, b):
-    pair = CandidatePair(min(a, b), max(a, b))
-    assert majority_decide(m, pair) is majority_decide(m, pair)
-    assert veto_decide(m, pair) is veto_decide(m, pair)
+    y1, y2 = min(a, b), max(a, b)
+    assert majority_decide(m, y1, y2) is majority_decide(m, y1, y2)
+    assert veto_decide(m, y1, y2) is veto_decide(m, y1, y2)

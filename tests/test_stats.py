@@ -1,4 +1,4 @@
-"""Statistical validators: ECDF/KS oracles, density monitors, MC probes."""
+"""Statistical validators: KS oracles, density monitors, MC probes."""
 
 import math
 import random
@@ -15,40 +15,11 @@ from admitlab.stats import (
     check_density_bounds,
     convergence_rate_fit,
     default_delta,
-    density_profile,
-    ecdf,
     estimate_interval_accept_prob,
     ks_distance,
     quantile_progress_test,
     smoothness_report,
 )
-
-
-# ------------------------------------------------------------------- ECDF
-
-def test_ecdf_single_jump():
-    f = ecdf([0.5])
-    assert f(0.49) == 0.0
-    assert f(0.5) == 1.0
-    assert f(0.6) == 1.0
-
-
-def test_ecdf_two_points():
-    f = ecdf([0.2, 0.8])
-    assert f(0.2) == 0.5
-    assert f(0.79) == 0.5
-    assert f(0.8) == 1.0
-    with pytest.raises(ValueError):
-        ecdf([])
-
-
-def test_ecdf_matches_naive():
-    rnd = random.Random(1)
-    xs = [rnd.random() for _ in range(1000)]
-    f = ecdf(xs)
-    for t in [0.0, 0.1, 0.5, 0.77, 1.0]:
-        naive = sum(x <= t for x in xs) / len(xs)
-        assert f(t) == naive
 
 
 # --------------------------------------------------------------------- KS
@@ -95,38 +66,46 @@ def test_ks_matches_naive_two_sided():
 # ---------------------------------------------------------------- density
 
 def test_density_profile_counts_sum_to_k():
+    # delta-segments [i*d, (i+1)*d), the last closed at 1, partition the
+    # group as the density monitors count it
     rng = Rng(3)
     g = GroupState(rng.uniform_block(5000))
-    prof = density_profile(g, 0.1)
-    assert prof.counts.sum() == g.size == prof.k
-    assert len(prof.counts) == 10
-    with pytest.raises(ValueError):
-        density_profile(g, 0.0)
+    counts = [g.count_interval(i / 10, (i + 1) / 10, "half_open")
+              for i in range(9)] + [g.count_interval(0.9, 1.0, "closed")]
+    assert sum(counts) == g.size
 
 
 def test_density_profile_uniform_concentration():
     # binomial concentration: each of 10 segments near 1000 of 10^4
     rng = Rng(4)
     g = GroupState(rng.uniform_block(10 ** 4))
-    prof = density_profile(g, 0.1)
-    assert all(abs(c - 1000) < 150 for c in prof.counts)
+    v = check_density_bounds(g, widths=[0.1], lower_per_len=8500.0,
+                             upper_per_len=11500.0, align=0.1)
+    assert v.checked == 10
+    assert v.passed
 
 
 def test_density_profile_attached_verdicts():
+    # c1' * |I| * delta * k <= count <= c2' * |I| * k over aligned windows
+    # of width delta, 2*delta and 4*delta (delta = 0.1, k = 10^4)
     rng = Rng(41)
     g = GroupState(rng.uniform_block(10 ** 4))
-    prof = density_profile(g, 0.1, c1_prime=0.5, c2_prime=2.0)
+    k = g.size
+    v = check_density_bounds(g, widths=[0.1, 0.2, 0.4],
+                             lower_per_len=0.5 * 0.1 * k,
+                             upper_per_len=2.0 * k, align=0.1)
     # widths 0.1/0.2/0.4 aligned to the grid: 10 + 9 + 7 windows
-    assert len(prof.verdicts) == 26
-    assert prof.all_within_bounds
-    tight = density_profile(g, 0.1, c1_prime=0.5, c2_prime=0.5)
-    assert not tight.all_within_bounds
+    assert v.checked == 26
+    assert v.passed
+    tight = check_density_bounds(g, widths=[0.1, 0.2, 0.4],
+                                 lower_per_len=0.5 * 0.1 * k,
+                                 upper_per_len=0.5 * k, align=0.1)
+    assert not tight.passed
 
 
 def test_density_profile_point_mass_flags_upper():
     g = GroupState([0.35] * 500)
-    prof = density_profile(g, 0.1)
-    assert prof.counts[3] == 500
+    assert g.count_interval(0.3, 0.4, "half_open") == 500
     verdict = check_density_bounds(g, widths=[0.1], lower_per_len=0.0,
                                    upper_per_len=7 * g.size)
     # one window holds everything: upper bound 0.7*k < k flags it
@@ -236,6 +215,18 @@ def test_progress_precondition_hand_values():
     from admitlab.oracles import gap_functions
     assert gap_functions(ctx, 0.1).g_r == pytest.approx(0.02)
     assert gap_functions(ctx, 0.098).g_r == pytest.approx(0.019208)
+
+
+def test_progress_underfilled_neighborhood_raises(monkeypatch):
+    # a start group too sparse around its quantile breaks the occupancy
+    # hypothesis; it must raise even under python -O
+    from admitlab import stats
+
+    monkeypatch.setattr(stats, "_progress_start_group",
+                        lambda q, sigma, t, rng: GroupState([0.1, q, 0.9]))
+    with pytest.raises(ValueError, match="sigma-neighborhood"):
+        quantile_progress_test(RuleSpec("majority"), majority_context(),
+                               0.1, 0.002, 100, 3, Rng(19))
 
 
 def test_progress_smoke_right_and_left():
