@@ -10,7 +10,7 @@ stay integer-exact.
 from __future__ import annotations
 
 import math
-from bisect import insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -185,30 +185,32 @@ def geometric_tightness_run(k: int, ell: int) -> TightnessRun:
         steps.append((1, Fraction(top, scale)))
     schedule = ReplacementSchedule(steps, f"geometric-tightness k={k} ell={ell}")
 
-    # replay with margin tracking
+    # replay with margin tracking.  Every step replaces x_1 by a y above the
+    # maximum, so voter j's margin |x_j - x_1| - |x_j - y| is 2*x_j - s with
+    # s = x_1 + y: it grows with j, and the smallest nonzero ones belong to
+    # the nearest members strictly below and strictly above s/2 (member 1
+    # itself never votes; exact ties have margin 0 and are skipped)
     min_margin = None
     cur = committee
     for idx, (i, y) in enumerate(steps):
-        xi = cur.opinion(i)
-        votes = 0
-        for j in range(1, cur.n + 1):
-            if j == i:
-                continue
-            xj = cur.opinion(j)
-            m = abs(xj - xi) - abs(xj - y)
-            if m >= 0:
-                votes += 1
-            if m != 0 and (min_margin is None or abs(m) < min_margin):
-                min_margin = abs(m)
+        votes = cur.vote_count(i, y)
         if votes < cur.threshold:
             raise ArithmeticError(
                 f"geometric construction step {idx} illegal: "
                 f"{votes} < {cur.threshold}")
-        ok, cur = cur.replace_attempt(i, y)
-        if not ok:
-            raise ArithmeticError(
-                f"geometric construction step {idx} rejected by the engine "
-                f"after {votes} counted votes")
+        vals = cur.values
+        s = vals[0] + y
+        below = bisect_left(vals, s / 2) - 1
+        above = bisect_right(vals, s / 2)
+        near = []
+        if below >= 1:
+            near.append(s - 2 * vals[below])
+        if above < cur.n:
+            near.append(2 * vals[above] - s)
+        for m in near:
+            if min_margin is None or m < min_margin:
+                min_margin = m
+        cur = cur._swap(i, y)
     # each gap drifts at most 1/d grid units from the exact ratio power, so
     # any position (a gap sum) is within len(gaps)/d units of ideal; a vote
     # comparison combines four positions
@@ -387,62 +389,6 @@ def legal_intervals(committee: Committee, i: int) -> list:
     return merged
 
 
-def sample_accepted_replacement(committee: Committee, rng: Rng,
-                                grid_bits: int = 40,
-                                members: Optional[list] = None,
-                                max_grid_bits: Optional[int] = None):
-    """Random (i, y) whose replacement is guaranteed to be accepted.
-
-    Picks a member, sweeps its legal candidate region, and draws y from a
-    dyadic grid inside a region interval (length-weighted).  The grid
-    refines past `grid_bits` when the region is narrower than the base
-    grid, up to `max_grid_bits` (unbounded when None); committees contract
-    under ell >= 1, so long fuzz runs cap this and restart instead of
-    letting denominators grow without bound.  Returns None when no legal
-    candidate distinct from the incumbent is available at the allowed
-    resolution (exact re-election would not displace anything).
-    """
-    n = committee.n
-    pool = members if members is not None else list(range(1, n + 1))
-    i = pool[int(rng.uniform() * len(pool)) % len(pool)]
-    intervals = legal_intervals(committee, i)
-    if not intervals:
-        return None
-    width = max(hi - lo for lo, hi in intervals)
-    bits = grid_bits
-    if width > 0:
-        # ensure the widest interval holds at least ~2^10 grid points
-        need = (width.denominator.bit_length()
-                - width.numerator.bit_length()) + 11
-        bits = max(grid_bits, need)
-    if max_grid_bits is not None and bits > max_grid_bits:
-        return None
-    scale = 1 << bits
-    usable = []
-    for lo, hi in intervals:
-        # ints and Fractions both expose numerator/denominator
-        a = -((-lo.numerator * scale) // lo.denominator)   # ceil(lo * scale)
-        b = (hi.numerator * scale) // hi.denominator       # floor(hi * scale)
-        if b >= a:
-            usable.append((a, b))
-    if not usable:
-        return None
-    weights = [b - a + 1 for a, b in usable]
-    total = sum(weights)
-    pick = int(rng.uniform() * total) % total
-    for (a, b), w in zip(usable, weights):
-        if pick < w:
-            y = Fraction(a + pick, scale)
-            if y in committee.values:
-                # exact re-election refreshes an id without displacing
-                # anything, and value collisions freeze zero-width
-                # clusters: neither is a move the fuzz adversary plays
-                return None
-            return i, y
-        pick -= w
-    raise AssertionError("unreachable")
-
-
 @dataclass
 class FuzzReport:
     accepted: int
@@ -454,10 +400,13 @@ class FuzzReport:
     range_violations: int = 0
 
     @property
+    def violations(self) -> int:
+        return (self.drift_violations + self.shift_violations
+                + self.monotone_violations + self.range_violations)
+
+    @property
     def clean(self) -> bool:
-        return (self.drift_violations == 0 and self.shift_violations == 0
-                and self.monotone_violations == 0
-                and self.range_violations == 0)
+        return self.violations == 0
 
 
 def _sample_int_replacement(committee: Committee, rng: Rng):
@@ -493,10 +442,12 @@ def _sample_int_replacement(committee: Committee, rng: Rng):
 
 
 def _rescaled(c: Committee, mul: int) -> Committee:
-    """Same committee with every value multiplied by `mul` (ids kept)."""
+    """Same committee with every value multiplied by `mul` and taken as an
+    int (ids kept)."""
     return Committee((), 0, _internal=(
-        tuple(v * mul for v in c.values), c.ids, c.n, c.ell, c.threshold,
-        c.initial_x1 * mul, c.initial_xn * mul, c.diameter * mul, c._next_id))
+        tuple(int(v * mul) for v in c.values), c.ids, c.n, c.ell,
+        c.threshold, int(c.initial_x1 * mul), int(c.initial_xn * mul),
+        int(c.diameter * mul), c._next_id))
 
 
 def fuzz_on_committee(committee: Committee, accepted_target: int, rng: Rng,
@@ -511,12 +462,8 @@ def fuzz_on_committee(committee: Committee, accepted_target: int, rng: Rng,
     """
     from math import lcm
 
-    den = lcm(*[Fraction(v).denominator for v in committee.values])
-    cur = Committee((), 0, _internal=(
-        tuple(int(v * den) for v in committee.values), committee.ids,
-        committee.n, committee.ell, committee.threshold,
-        int(committee.initial_x1 * den), int(committee.initial_xn * den),
-        int(committee.diameter * den), committee._next_id))
+    cur = _rescaled(committee, lcm(*[Fraction(v).denominator
+                                     for v in committee.values]))
     accepted = 0
     misses = 0
     scale_bits = 0

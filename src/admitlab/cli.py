@@ -2,7 +2,8 @@
 
 Configs are JSON documents; trajectories come out as CSV and summaries as
 JSON.  A run is a pure function of (config bytes, seed): rerunning a config
-byte-identically reproduces its outputs.
+byte-identically reproduces its outputs.  `verify` runs the acceptance
+criteria registered in `experiments` on their own committed seeds.
 
 Subcommands: grow, committee, adversary, oracle, verify, sweep, replay.
 """
@@ -14,7 +15,6 @@ import csv
 import hashlib
 import io
 import json
-import math
 import os
 import sys
 import time
@@ -25,6 +25,7 @@ from typing import Optional
 from . import adversaries, oracles, stats
 from .committee import Committee
 from .engine import run as engine_run
+from .experiments import CRITERIA
 from .group import GroupState
 from .rng import Rng
 from .rules import RuleSpec
@@ -75,7 +76,6 @@ class ExperimentConfig:
     p: Optional[float] = None
     # verify
     suite: Optional[str] = None
-    trials: Optional[int] = None
     raw: dict = field(default_factory=dict)
 
 
@@ -87,19 +87,25 @@ _SCHEMA = {
     "adversary": {"kind", "seed", "construction", "n", "k", "ell",
                   "target_displacement", "d", "D", "initial"},
     "oracle": {"kind", "oracle", "grid", "p", "seed"},
-    "verify": {"kind", "seed", "suite", "trials"},
+    "verify": {"kind", "seed", "suite"},
     "sweep": {"kind", "seed", "base", "axis", "seeds"},
 }
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Validate a JSON config document; unknown keys are rejected."""
+def _json_object(text: str) -> dict:
+    """The JSON object in `text`; anything else is a ConfigError."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError("$", f"invalid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise ConfigError("$", "top level must be an object")
+    return doc
+
+
+def parse_config(text: str) -> ExperimentConfig:
+    """Validate a JSON config document; unknown keys are rejected."""
+    doc = _json_object(text)
     kind = doc.get("kind")
     if kind not in _KINDS:
         raise ConfigError("kind", f"must be one of {_KINDS}, got {kind!r}")
@@ -186,7 +192,6 @@ def parse_config(text: str) -> ExperimentConfig:
         if cfg.suite not in VERIFY_SUITES:
             raise ConfigError("suite",
                               f"unknown suite; pick from {sorted(VERIFY_SUITES)}")
-        cfg.trials = _int_field(doc, "trials", minimum=1)
     elif kind == "sweep":
         base = doc.get("base")
         if not isinstance(base, dict):
@@ -446,71 +451,19 @@ def _run_oracle(cfg: ExperimentConfig) -> RunRecord:
 
 # ------------------------------------------------------------ verify suites
 
-def _suite_fixed_point(seed: int, trials=None) -> dict:
-    worst = 0.0
-    for i in range(1, 101):
-        p = 0.5 + 0.5 * i / 100
-        worst = max(worst, abs(oracles.f_veto(oracles.tau(p)) - p))
-    return {"passed": worst <= 1e-12, "worst_residual": worst}
-
-
-def _suite_majority_mc(seed: int, trials=None) -> dict:
-    trials = trials or 10 ** 5
-    rng = Rng(seed)
-    worst_z = 0.0
-    for q in (0.2, 0.35, 0.5, 0.65, 0.8):
-        est, _ = stats.estimate_interval_accept_prob(
-            RuleSpec("majority"), q, (0.0, q), trials, rng)
-        f = oracles.f_majority(q)
-        se = math.sqrt(f * (1 - f) / trials)
-        worst_z = max(worst_z, abs(est - f) / se)
-    return {"passed": worst_z < 3.0, "worst_z": worst_z}
-
-
-def _suite_smoothness(seed: int, trials=None) -> dict:
-    trials = trials or 10 ** 5
-    rng = Rng(seed)
-    rep_m = stats.smoothness_report(RuleSpec("majority"), [0.3, 0.5, 0.7],
-                                    [0.05], trials, rng)
-    rep_v = stats.smoothness_report(RuleSpec("veto", r=0.25),
-                                    [0.65, 0.75, 0.85], [0.05], trials, rng)
-    return {"passed": rep_m.passed and rep_v.passed,
-            "majority": rep_m.passed, "veto": rep_v.passed}
-
-
-def _suite_committee_drift(seed: int, trials=None) -> dict:
-    trials = trials or 20000
-    rep = adversaries.committee_fuzz(11, 2, trials, Rng(seed))
-    return {"passed": rep.clean, "accepted": rep.accepted,
-            "median_moves": rep.median_moves}
-
-
-def _suite_consensus_fixed(seed: int, trials=None) -> dict:
-    trials = trials or 20000
-    rep = adversaries.committee_fuzz(5, 2, trials, Rng(seed),
-                                     consensus_checks=True)
-    return {"passed": rep.clean, "accepted": rep.accepted}
-
-
-VERIFY_SUITES = {
-    "fixed-point": _suite_fixed_point,
-    "majority-mc": _suite_majority_mc,
-    "smoothness": _suite_smoothness,
-    "committee-drift": _suite_committee_drift,
-    "consensus-fixed": _suite_consensus_fixed,
-}
-VERIFY_SUITES["quick"] = None  # runs fixed-point + majority-mc
+# each criterion runs on its committed seeds and sizes; quick runs 01 and 02
+VERIFY_SUITES = {c.suite: (c,) for c in CRITERIA}
+VERIFY_SUITES["quick"] = tuple(c for c in CRITERIA if c.num in (1, 2))
 
 
 def _run_verify(cfg: ExperimentConfig) -> RunRecord:
-    names = (["fixed-point", "majority-mc"] if cfg.suite == "quick"
-             else [cfg.suite])
-    results = {}
     verdicts = {}
-    for name in names:
-        res = VERIFY_SUITES[name](cfg.seed, cfg.trials)
-        results[name] = res
-        verdicts[name] = res["passed"]
+    results = {}
+    for criterion in VERIFY_SUITES[cfg.suite]:
+        v = criterion.run()
+        verdicts[criterion.suite] = v.passed
+        results[criterion.suite] = {"name": v.name, "detail": v.detail,
+                                    "checked": v.checked}
     return RunRecord(cfg.raw, cfg.seed, _config_hash(cfg.raw), "verify",
                      0.0, verdicts, results)
 
@@ -676,7 +629,7 @@ def _build_parser() -> argparse.ArgumentParser:
         common(sub.add_parser(name))
     v = sub.add_parser("verify")
     common(v)
-    v.add_argument("--suite", help="named verify suite",
+    v.add_argument("--suite", help="criterion-NN, or quick for 01 and 02",
                    choices=sorted(VERIFY_SUITES))
     rp = sub.add_parser("replay")
     rp.add_argument("--schedule", required=True, help="schedule.json to replay")
@@ -688,8 +641,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_config(args, kind: str) -> ExperimentConfig:
     if args.config:
         with open(args.config) as fh:
-            text = fh.read()
-        doc = json.loads(text)
+            doc = _json_object(fh.read())
     else:
         doc = {"kind": kind, "seed": 0}
     if getattr(args, "seed", None) is not None:
@@ -701,9 +653,18 @@ def _load_config(args, kind: str) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
+    """Exit status: 0 when every verdict passed, 1 when one failed, 2 for
+    a usage or config error."""
     args = _build_parser().parse_args(argv)
-    cmd = args.command
+    try:
+        return _dispatch(args)
+    except ConfigError as e:
+        print(f"admitlab: config error: {e}", file=sys.stderr)
+        return 2
 
+
+def _dispatch(args) -> int:
+    cmd = args.command
     if cmd == "replay":
         with open(args.profile) as fh:
             prof = json.load(fh)
@@ -724,8 +685,7 @@ def main(argv=None) -> int:
             print("sweep requires --config", file=sys.stderr)
             return 2
         with open(args.config) as fh:
-            doc = json.load(fh)
-        parse_config(json.dumps(doc))  # validates shape
+            doc = parse_config(fh.read()).raw  # validates shape
         report = sweep(doc["base"], doc["axis"], doc["seeds"])
         out = json.dumps(_jsonable(report), indent=1, default=_fmt)
         if args.out:

@@ -63,10 +63,11 @@ def check_density_bounds(group: GroupState, widths: Sequence[float],
     Windows of each width slide through `region` on an `align` grid
     (half the smallest width by default).  A window [a, b] passes when
     lower_per_len * |I| <= count <= upper_per_len * |I|, counts taken
-    half-open except at the right edge of [0, 1].
+    half-open except at the right edge of [0, 1].  No verdict passes
+    without a window checked.
     """
     lo_r, hi_r = region
-    if align is None:
+    if align is None and widths:
         align = min(widths) / 2.0
     violations = []
     checked = 0
@@ -84,7 +85,7 @@ def check_density_bounds(group: GroupState, widths: Sequence[float],
             if not (lower <= cnt <= upper):
                 violations.append((a, b, int(cnt), lower, upper))
             a += align
-    return DensityVerdict(not violations, violations, checked)
+    return DensityVerdict(checked > 0 and not violations, violations, checked)
 
 
 # --------------------------------------- frozen-summary single-step probes
@@ -251,6 +252,8 @@ def quantile_progress_test(rule: RuleSpec, ctx: OracleContext,
     """
     if side not in ("right", "left"):
         raise ValueError("side must be 'right' or 'left'")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     gaps = gap_functions(ctx, start_gap)
     g_val = gaps.g_r if side == "right" else gaps.g_l
     if g_val <= 0.0:

@@ -1,11 +1,14 @@
 """Adversarial constructions: legality certificates and exact properties."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from admitlab.adversaries import (
+    _sample_int_replacement,
     arithmetic_drift_schedule,
     geometric_tightness_run,
     immunity_config,
@@ -13,7 +16,6 @@ from admitlab.adversaries import (
     one_step_irreplaceable,
     removal_schedule,
     replay,
-    sample_accepted_replacement,
     solve_geometric_delta,
 )
 from admitlab.committee import Committee, drift_bound_check
@@ -98,14 +100,60 @@ def test_tightness_run_within_bound_and_above_fixture():
     assert holds
 
 
+# sha256 of [min_margin, bound_ratio, final JSON profile, final ids],
+# recorded from the per-voter margin loop this construction used before
+_TIGHTNESS_PINS = {
+    (6, 1): "4d8c67e4783efb22be0eb3b6c11f21b74553c08076699d4a8824a2a861c5cd14",
+    (8, 2): "b0528ab4919f3abceaca1df12d512d11a4ddd872d6c1af7ee5b130ccc974f2cc",
+    (12, 3): "6b935876593132e3e23d89716194b836ac7ba22c651d048b5d06d2753e35bfce",
+    (4, 2): "f1758f98ace7fc137c7b7173006a663b5fa6c7edb565023f5f821de0e26f49ff",
+}
+
+
+def _tightness_digest(tr) -> str:
+    blob = json.dumps([str(tr.min_margin), str(tr.bound_ratio),
+                       tr.final.to_json_profile(), list(tr.final.ids)])
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
 def test_tightness_grid_ratio_spread():
     ratios = []
     for k, ell in [(6, 1), (8, 2), (12, 3)]:
         tr = geometric_tightness_run(k, ell)
+        assert _tightness_digest(tr) == _TIGHTNESS_PINS[(k, ell)]
         assert 0 < tr.bound_ratio <= 1
         assert tr.displacement >= Fraction(tr.final.diameter * k, 16 * ell)
         ratios.append(tr.bound_ratio)
     assert max(ratios) / min(ratios) < 4
+
+
+def test_tightness_run_recounted_by_brute_force(monkeypatch):
+    # every swap the run makes, recounted voter by voter with the rule as
+    # stated; the smallest nonzero margin over all steps must match
+    seen = []
+    swap = Committee._swap
+
+    def spy(self, i, y):
+        seen.append((self.values, i, y))
+        return swap(self, i, y)
+
+    monkeypatch.setattr(Committee, "_swap", spy)
+    tr = geometric_tightness_run(4, 2)
+    assert [(i, y) for _, i, y in seen] == tr.schedule.steps
+    cur = list(seen[0][0])
+    margins = []
+    for values, i, y in seen:
+        assert list(values) == cur
+        xi = cur[i - 1]
+        m = [abs(xj - xi) - abs(xj - y)
+             for j, xj in enumerate(cur, start=1) if j != i]
+        assert sum(v >= 0 for v in m) >= tr.final.threshold
+        margins += [abs(v) for v in m if v != 0]
+        del cur[i - 1]
+        cur = sorted(cur + [y])
+    assert min(margins) == tr.min_margin
+    assert list(tr.final.values) == cur
+    assert _tightness_digest(tr) == _TIGHTNESS_PINS[(4, 2)]
 
 
 # ----------------------------------------------------------- immunity side
@@ -251,10 +299,13 @@ def test_legal_intervals_majority_everything_near():
 
 def test_sample_respects_member_pool():
     c = Committee.consensus([0, 8, 64])
+    pools = {i: legal_intervals(c, i) for i in (1, 2, 3)}
+    assert pools == {1: [(0, 16)], 2: [(8, 8)], 3: [(-48, 64)]}
     rng = Rng(1)
-    for _ in range(50):
-        pick = sample_accepted_replacement(c, rng, members=[1])
-        assert pick is not None
-        i, y = pick
-        assert i == 1
-        assert 0 <= y <= 16
+    picks = [_sample_int_replacement(c, rng) for _ in range(50)]
+    assert sum(p is not None for p in picks) >= 25
+    for pick in picks:
+        if pick is not None:
+            i, y = pick
+            assert any(lo <= y <= hi for lo, hi in pools[i])
+            assert y not in c.values

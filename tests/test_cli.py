@@ -16,6 +16,7 @@ from admitlab.cli import (
     sweep,
     trajectory_csv,
 )
+from admitlab.experiments import CRITERIA, Verdict
 
 
 def _parse(doc):
@@ -193,9 +194,14 @@ def test_oracle_grid_record():
 
 def test_verify_quick_suite():
     rec = run_experiment(_parse({"kind": "verify", "suite": "quick",
-                                 "seed": 3, "trials": 20000}))
+                                 "seed": 3}))
     assert rec.passed
-    assert rec.verdicts["fixed-point"]
+    assert set(rec.verdicts) == {"criterion-01", "criterion-02"}
+    # criteria run on their committed sizes: no trials knob
+    with pytest.raises(ConfigError) as err:
+        _parse({"kind": "verify", "suite": "quick", "seed": 3,
+                "trials": 20000})
+    assert err.value.path == "trials"
 
 
 def test_emit_outputs_empty_trajectory(tmp_path):
@@ -281,10 +287,33 @@ def test_sweep_axis_and_failure_recorded():
 
 
 def test_cli_main_verify(capsys):
-    rc = main(["verify", "--suite", "fixed-point", "--seed", "1"])
+    # verify runs the registry's own objects: ids 1..15, once each
+    assert sorted(c.num for c in CRITERIA) == list(range(1, 16))
+    v = CRITERIA[1].run()
+    assert v.line == f"criterion 02 [veto fixed point]: PASS ({v.detail})"
+    rc = main(["verify", "--suite", "criterion-02", "--seed", "1"])
     out = json.loads(capsys.readouterr().out)
     assert rc == 0
-    assert out["verdicts"]["fixed-point"]
+    assert out["verdicts"] == {"criterion-02": v.passed}
+    assert out["summary"]["criterion-02"]["detail"] == v.detail
+    # no verdict passes on an empty sample
+    assert Verdict(9, "x", False, "d", 0).line == "criterion 09 [x]: FAIL (d)"
+    assert not Verdict(9, "x", True, "d", 0).passed
+
+
+def test_cli_main_config_error_exit_status(tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"kind": "adversary", "construction": "immunity",
+                               "k": 1, "ell": 1, "d": "abc", "seed": 1}))
+    rc = main(["adversary", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == "admitlab: config error: d: not an exact rational: 'abc'\n"
+    cfg.write_text('{"kind": "grow", ')
+    for cmd in ("grow", "sweep"):
+        assert main([cmd, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "admitlab: config error: $: invalid JSON")
 
 
 def test_cli_main_grow_to_files(tmp_path):

@@ -15,10 +15,11 @@ from admitlab.committee import (
     shift_lemma_check,
 )
 from admitlab.adversaries import (
+    _sample_int_replacement,
+    committee_fuzz,
     legal_intervals,
     removal_schedule,
     replay,
-    sample_accepted_replacement,
 )
 from admitlab.cli import RunRecord, emit_outputs
 from admitlab.rng import Rng
@@ -296,13 +297,13 @@ def test_legal_intervals_consensus_shape():
 
 
 def test_sampled_replacements_always_accepted():
-    # None is fine (degenerate legal region for an interior member of a
-    # contracting committee); every returned pick must be accepted
+    # None is fine (no integer legal candidate left for the picked member
+    # of a contracting committee); every returned pick must be accepted
     rng = Rng(321)
-    c = Committee(sorted(random.Random(5).sample(range(1 << 20), 11)), ell=2)
+    c = Committee(sorted(random.Random(5).sample(range(1 << 40), 11)), ell=2)
     accepted = 0
     for _ in range(300):
-        pick = sample_accepted_replacement(c, rng)
+        pick = _sample_int_replacement(c, rng)
         if pick is None:
             continue
         i, y = pick
@@ -313,23 +314,8 @@ def test_sampled_replacements_always_accepted():
 
 
 def test_consensus_fuzz_monotone_and_range_small():
-    # smoke-size version of the exact consensus invariants
-    rng = Rng(654)
-    c = Committee.consensus([0, 3, 7, 15, 31])
-    d = c.diameter
-    lo, hi = c.initial_x1 - d, c.initial_xn + d
-    m = c.consensus_monotone()
-    mm = c.consensus_monotone_mirror()
-    for _ in range(2000):
-        pick = sample_accepted_replacement(c, rng, members=[1, c.n])
-        if pick is None:
-            continue
-        i, y = pick
-        ok, c = c.replace_attempt(i, y)
-        assert ok
-        assert lo <= y <= hi
-        m2 = c.consensus_monotone()
-        mm2 = c.consensus_monotone_mirror()
-        assert m2 <= m
-        assert mm2 >= mm
-        m, mm = m2, mm2
+    # smoke-size version of the exact consensus invariants: every accepted
+    # step is checked against the admitted range and both monotone quantities
+    rep = committee_fuzz(5, 2, 2000, Rng(654), consensus_checks=True)
+    assert rep.accepted == 2000
+    assert rep.clean

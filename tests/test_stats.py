@@ -124,6 +124,11 @@ def test_check_density_bounds_window_membership():
     # every 0.2 window holds exactly 2 members: bounds 1 <= 2 <= 3
     assert v.passed
     assert v.checked == 9
+    # no width, or no window fitting the region: an empty sample fails
+    for widths, region in (([], (0.0, 1.0)), ([0.5], (0.4, 0.6))):
+        v = check_density_bounds(g, widths=widths, lower_per_len=0.0,
+                                 upper_per_len=100.0, region=region)
+        assert v.checked == 0 and not v.passed
 
 
 # -------------------------------------------- frozen-summary MC estimates
@@ -207,6 +212,8 @@ def test_progress_preconditions_rejected():
     # sigma >= gap
     with pytest.raises(ValueError):
         quantile_progress_test(rule, ctx, 0.1, 0.2, 100, 5, Rng(16))
+    with pytest.raises(ValueError, match="trials"):
+        quantile_progress_test(rule, ctx, 0.1, 0.002, 100, 0, Rng(20))
 
 
 def test_progress_precondition_hand_values():
