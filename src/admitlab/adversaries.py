@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .committee import Committee
+from .committee import Committee, drift_bound_check, shift_lemma_check
 from .rng import Rng
 
 # global dyadic scale used by the geometric construction: every gap is
@@ -23,6 +23,14 @@ from .rng import Rng
 # significant bits even in the smallest gap the run keeps (>= 2^-40)
 _GEOM_SCALE_BITS = 96
 _GEOM_STOP_BITS = 40  # stop once the next gap falls below 2^-40
+
+# random replacements: fuzz profiles are distinct 24-bit integers, epochs
+# hold at most 400 accepted steps, and a stuck epoch is rescaled by 2^24 up
+# to 512 bits in total (criterion 12's k=1 immunity run needs 360)
+_VALUE_BITS = 24
+_EPOCH_CAP = 400
+_RESCALE_BITS = 24
+_SCALE_BUDGET_BITS = 512
 
 
 @dataclass
@@ -140,6 +148,7 @@ class TightnessRun:
     schedule: ReplacementSchedule
     displacement: Fraction   # final x_{k-l+2} minus the initial maximum
     bound_ratio: Fraction    # displacement over D*k/(2*ell - 1)
+    initial: Committee
     final: Committee
     min_margin: Fraction     # smallest nonzero vote-comparison margin seen
 
@@ -221,10 +230,10 @@ def geometric_tightness_run(k: int, ell: int) -> TightnessRun:
             "the dyadic profile may not represent the ideal construction")
 
     tracked = cur.values[k - ell + 2 - 1]
-    displacement = tracked - initial.initial_xn
+    displacement = tracked - initial.values[-1]
     bound = Fraction(initial.diameter * k, 2 * ell - 1)
     return TightnessRun(d, schedule, displacement, displacement / bound,
-                        cur, min_margin)
+                        initial, cur, min_margin)
 
 
 # --------------------------------------------------- immunity construction
@@ -441,138 +450,91 @@ def _sample_int_replacement(committee: Committee, rng: Rng):
     raise AssertionError("unreachable")
 
 
-def _rescaled(c: Committee, mul: int) -> Committee:
-    """Same committee with every value multiplied by `mul` and taken as an
-    int (ids kept)."""
-    return Committee((), 0, _internal=(
-        tuple(int(v * mul) for v in c.values), c.ids, c.n, c.ell,
-        c.threshold, int(c.initial_x1 * mul), int(c.initial_xn * mul),
-        int(c.diameter * mul), c._next_id))
+def fuzz_epoch(start: Committee, accepted_target: int, rng: Rng,
+               report: FuzzReport, consensus_checks: bool = False) -> Committee:
+    """One epoch of random accepted replacements from `start`, ids kept.
 
+    Values are brought to a common integer scale first, then rescaled by
+    2^24 whenever contraction pushes legal regions below integer
+    resolution: vote comparisons and every check are invariant under
+    positive scaling, and integer values keep the exact arithmetic fast.
+    The epoch ends after `accepted_target` accepted steps, or early once
+    the accumulated rescaling passes `_SCALE_BUDGET_BITS`.  A sampled pick
+    the committee rejects raises ArithmeticError.
 
-def fuzz_on_committee(committee: Committee, accepted_target: int, rng: Rng,
-                      max_scale_bits: int = 1 << 16):
-    """Random accepted replacements on one fixed committee, ids preserved.
-
-    Values are brought to a common integer scale first (vote comparisons
-    are invariant under positive scaling), then rescaled by 2^24 whenever
-    contraction pushes legal regions below integer resolution.  Returns
-    (final committee, accepted count); stops early only if the scale
-    budget runs out.
+    Checks per accepted step, counted into `report`: the indexed drift
+    bound against the epoch's start and the potential-drop lemma whenever
+    the median moved (ell >= 1, odd n); or, with `consensus_checks`, the
+    exact admitted-value range and both monotone quantities.  Returns the
+    final committee.
     """
-    from math import lcm
-
-    cur = _rescaled(committee, lcm(*[Fraction(v).denominator
-                                     for v in committee.values]))
-    accepted = 0
+    initial = start.scaled(math.lcm(*[v.denominator for v in start.values]))
+    n = initial.n
+    k = (n - 1) // 2
+    drift_checks = initial.ell >= 1 and n % 2 == 1
+    report.epochs += 1
+    cur = initial
+    stop = report.accepted + accepted_target
     misses = 0
     scale_bits = 0
-    while accepted < accepted_target:
+    while report.accepted < stop:
         pick = _sample_int_replacement(cur, rng)
         if pick is None:
             misses += 1
-            if misses >= 4 * cur.n:
-                scale_bits += 24
-                if scale_bits > max_scale_bits:
+            if misses >= 4 * n:
+                scale_bits += _RESCALE_BITS
+                if scale_bits > _SCALE_BUDGET_BITS:
                     break
-                cur = _rescaled(cur, 1 << 24)
+                cur = cur.scaled(1 << _RESCALE_BITS)
+                initial = initial.scaled(1 << _RESCALE_BITS)
                 misses = 0
             continue
         misses = 0
         i, y = pick
+        prev = cur
         ok, cur = cur.replace_attempt(i, y)
         if not ok:
             raise ArithmeticError(
                 f"sampled replacement ({i}, {y}) rejected at accepted step "
-                f"{accepted}")
-        accepted += 1
-    return cur, accepted
+                f"{report.accepted}")
+        report.accepted += 1
+        if consensus_checks:
+            d = initial.diameter
+            if not initial.values[0] - d <= y <= initial.values[-1] + d:
+                report.range_violations += 1
+            if cur.consensus_monotone() > prev.consensus_monotone():
+                report.monotone_violations += 1
+            if (cur.consensus_monotone_mirror()
+                    < prev.consensus_monotone_mirror()):
+                report.monotone_violations += 1
+        elif drift_checks:
+            holds, _, _ = drift_bound_check(initial, cur)
+            if not holds:
+                report.drift_violations += 1
+            if cur.values[k] != prev.values[k]:
+                report.median_moves += 1
+                s_holds, _, _ = shift_lemma_check(prev, cur)
+                if not s_holds:
+                    report.shift_violations += 1
+    return cur
 
 
 def committee_fuzz(n: int, ell: int, accepted_target: int, rng: Rng,
-                   consensus_checks: bool = False,
-                   epoch_cap: int = 400,
-                   max_scale_bits: int = 512,
-                   value_bits: int = 24) -> FuzzReport:
+                   consensus_checks: bool = False) -> FuzzReport:
     """Randomized accepted replacements with every exact invariant checked.
 
     Committees under ell >= 1 contract geometrically, so the fuzz runs in
-    epochs: each starts from a fresh random integer profile, and whenever
-    legal regions fall below integer resolution the entire epoch state is
-    rescaled by 2^24 (every check is scale-invariant, and integer values
-    keep the exact arithmetic fast).  An epoch ends after `epoch_cap`
-    accepted steps or once the accumulated rescaling passes
-    `max_scale_bits`; fresh epochs start until `accepted_target` accepted
-    replacements have been checked in total.
-
-    Checks per accepted step: the indexed drift bound against the epoch's
-    initial configuration and the potential-drop lemma whenever the median
-    moved (ell >= 1, odd n); or, with `consensus_checks`, the exact
-    admitted-value range and both monotone quantities.
+    epochs of `fuzz_epoch`, each from a fresh random profile of distinct
+    `_VALUE_BITS`-bit integers and at most `_EPOCH_CAP` accepted steps,
+    until `accepted_target` accepted replacements have been checked.
     """
-    from .committee import drift_bound_check, shift_lemma_check
-
     report = FuzzReport(0, 0, 0)
-    hull = 1 << value_bits
-    rescale = 1 << 24
+    hull = 1 << _VALUE_BITS
     while report.accepted < accepted_target:
         vals: set = set()
         while len(vals) < n:
             vals.add(int(rng.uniform() * hull))
-        initial = Committee(sorted(vals), ell=ell)
-        report.epochs += 1
-        cur = initial
-        scale_bits = 0
-        mono = cur.consensus_monotone() if consensus_checks else None
-        mono_m = cur.consensus_monotone_mirror() if consensus_checks else None
-        lo_adm = initial.initial_x1 - initial.diameter
-        hi_adm = initial.initial_xn + initial.diameter
-        in_epoch = 0
-        misses = 0
-        while in_epoch < epoch_cap and report.accepted < accepted_target:
-            pick = _sample_int_replacement(cur, rng)
-            if pick is None:
-                misses += 1
-                if misses >= 4 * n:
-                    scale_bits += 24
-                    if scale_bits > max_scale_bits:
-                        break
-                    cur = _rescaled(cur, rescale)
-                    initial = _rescaled(initial, rescale)
-                    if consensus_checks:
-                        mono *= rescale
-                        mono_m *= rescale
-                        lo_adm *= rescale
-                        hi_adm *= rescale
-                    misses = 0
-                continue
-            misses = 0
-            i, y = pick
-            prev = cur
-            ok, cur = cur.replace_attempt(i, y)
-            if not ok:
-                raise ArithmeticError(
-                    f"sampled replacement ({i}, {y}) rejected at accepted "
-                    f"step {report.accepted}")
-            report.accepted += 1
-            in_epoch += 1
-            if consensus_checks:
-                if not lo_adm <= y <= hi_adm:
-                    report.range_violations += 1
-                m2 = cur.consensus_monotone()
-                mm2 = cur.consensus_monotone_mirror()
-                if m2 > mono:
-                    report.monotone_violations += 1
-                if mm2 < mono_m:
-                    report.monotone_violations += 1
-                mono, mono_m = m2, mm2
-            elif ell >= 1 and n % 2 == 1:
-                holds, _, _ = drift_bound_check(initial, cur)
-                if not holds:
-                    report.drift_violations += 1
-                if cur.values[(n - 1) // 2] != prev.values[(n - 1) // 2]:
-                    report.median_moves += 1
-                    s_holds, _, _ = shift_lemma_check(prev, cur)
-                    if not s_holds:
-                        report.shift_violations += 1
+        fuzz_epoch(Committee(sorted(vals), ell=ell),
+                   min(_EPOCH_CAP, accepted_target - report.accepted),
+                   rng, report, consensus_checks)
     return report

@@ -1,9 +1,10 @@
 """Experiment orchestration: config parsing, runners, outputs, verify suites.
 
 Configs are JSON documents; trajectories come out as CSV and summaries as
-JSON.  A run is a pure function of (config bytes, seed): rerunning a config
-byte-identically reproduces its outputs.  `verify` runs the acceptance
-criteria registered in `experiments` on their own committed seeds.
+JSON.  A run is a pure function of its config bytes: rerunning a config
+byte-identically reproduces its outputs.  Only the randomized kinds, grow
+and committee, take a seed; `verify` runs the acceptance criteria
+registered in `experiments` on their own committed seeds.
 
 Subcommands: grow, committee, adversary, oracle, verify, sweep, replay.
 """
@@ -51,7 +52,7 @@ def _fmt(x) -> str:
 @dataclass
 class ExperimentConfig:
     kind: str
-    seed: int
+    seed: Optional[int]
     rule: Optional[RuleSpec] = None
     initial: Optional[list] = None
     accepted: Optional[int] = None
@@ -84,12 +85,14 @@ _SCHEMA = {
              "mode", "log_admitted", "extra_quantiles",
              "assert_final_gap_below"},
     "committee": {"kind", "seed", "n", "ell", "steps", "consensus_checks"},
-    "adversary": {"kind", "seed", "construction", "n", "k", "ell",
+    "adversary": {"kind", "construction", "n", "k", "ell",
                   "target_displacement", "d", "D", "initial"},
-    "oracle": {"kind", "oracle", "grid", "p", "seed"},
-    "verify": {"kind", "seed", "suite"},
-    "sweep": {"kind", "seed", "base", "axis", "seeds"},
+    "oracle": {"kind", "oracle", "grid", "p"},
+    "verify": {"kind", "suite"},
+    "sweep": {"kind", "base", "axis", "seeds"},
 }
+# the kinds whose runs draw random numbers; no other kind takes a seed
+_SEEDED = ("grow", "committee")
 
 
 def _json_object(text: str) -> dict:
@@ -112,8 +115,9 @@ def parse_config(text: str) -> ExperimentConfig:
     allowed = _SCHEMA[kind]
     for key in doc:
         if key not in allowed:
-            raise ConfigError(key, "unknown key")
-    seed = _int_field(doc, "seed", required=True)
+            raise ConfigError(key, f"{kind} runs take no seed"
+                              if key == "seed" else "unknown key")
+    seed = _int_field(doc, "seed", required=kind in _SEEDED)
     cfg = ExperimentConfig(kind=kind, seed=seed, raw=doc)
 
     if kind == "grow":
@@ -196,6 +200,10 @@ def parse_config(text: str) -> ExperimentConfig:
         base = doc.get("base")
         if not isinstance(base, dict):
             raise ConfigError("base", "sweep needs a base config object")
+        if base.get("kind") not in _SEEDED:
+            raise ConfigError("base.kind",
+                              f"a sweep runs a seeded kind {_SEEDED}, "
+                              f"got {base.get('kind')!r}")
         axis = doc.get("axis")
         if not isinstance(axis, dict) or len(axis) != 1:
             raise ConfigError("axis", "exactly one {key: [values]} pair")
@@ -228,19 +236,27 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _rational(value, key: str):
-    """An exact positive rational, given as an int or a "num/den" string;
-    ints stay ints, strings become Fractions."""
+def _exact(value, key: str):
+    """An exact rational, given as an int or a "num/den" string; ints stay
+    ints, strings become Fractions.  JSON floats and true/false are
+    rejected."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ConfigError(key, f'must be an integer or a "num/den" string, '
                                f'got {value!r}')
+    if isinstance(value, int):
+        return value
     try:
-        x = Fraction(value)
+        return Fraction(value)
     except (ValueError, ZeroDivisionError):
         raise ConfigError(key, f"not an exact rational: {value!r}") from None
+
+
+def _rational(value, key: str):
+    """`_exact`, restricted to positive values."""
+    x = _exact(value, key)
     if x <= 0:
         raise ConfigError(key, f"must be positive, got {value!r}")
-    return value if isinstance(value, int) else x
+    return x
 
 
 def _rational_field(doc: dict, key: str):
@@ -286,7 +302,7 @@ def _parse_initial(node, rule: RuleSpec) -> list:
 @dataclass
 class RunRecord:
     config: dict
-    seed: int
+    seed: Optional[int]
     config_hash: str
     kind: str
     wall_clock: float
@@ -553,13 +569,11 @@ def _atomic_write(path: str, text: str) -> None:
 
 # -------------------------------------------------------------------- sweep
 
-def sweep(base_doc: dict, axis: dict, seeds: list,
-          jobs: int = 1) -> dict:
+def sweep(base_doc: dict, axis: dict, seeds: list) -> dict:
     """Run the cross product of one parameter axis and a seed list.
 
     Per-cell failures are recorded and the sweep continues.  Each cell owns
-    the seed written into its config, so cells are independent and may run
-    in any order or in parallel.
+    the seed written into its config, so cells are independent.
     """
     (axis_key, axis_values), = axis.items()
     cells = []
@@ -569,15 +583,9 @@ def sweep(base_doc: dict, axis: dict, seeds: list,
             if value is not None:
                 _set_path(doc, axis_key, value)
             doc["seed"] = seed
-            cells.append((axis_key, value, seed, doc))
+            cells.append((value, seed, doc))
 
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_cell_entry,
-                                    [(c,) for c in cells]))
-    else:
-        results = [_sweep_cell_entry((c,)) for c in cells]
+    results = [_sweep_cell(*c) for c in cells]
 
     by_axis: dict = {}
     for r in results:
@@ -592,9 +600,7 @@ def sweep(base_doc: dict, axis: dict, seeds: list,
     return aggregated
 
 
-def _sweep_cell_entry(args):
-    (cell,) = args
-    axis_key, value, seed, doc = cell
+def _sweep_cell(value, seed: int, doc: dict) -> dict:
     try:
         rec = run_experiment(parse_config(json.dumps(doc)))
         return {"axis": value, "seed": seed, "passed": rec.passed,
@@ -620,15 +626,17 @@ def _build_parser() -> argparse.ArgumentParser:
         description="growing-group and fixed-size committee admission lab")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(name):
+        p = sub.add_parser(name)
         p.add_argument("--config", help="path to a JSON config")
-        p.add_argument("--seed", type=int, help="override the config seed")
+        if name in _SEEDED:
+            p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", help="output directory")
+        return p
 
     for name in ("grow", "committee", "adversary", "oracle", "sweep"):
-        common(sub.add_parser(name))
-    v = sub.add_parser("verify")
-    common(v)
+        common(name)
+    v = common("verify")
     v.add_argument("--suite", help="criterion-NN, or quick for 01 and 02",
                    choices=sorted(VERIFY_SUITES))
     rp = sub.add_parser("replay")
@@ -643,7 +651,7 @@ def _load_config(args, kind: str) -> ExperimentConfig:
         with open(args.config) as fh:
             doc = _json_object(fh.read())
     else:
-        doc = {"kind": kind, "seed": 0}
+        doc = {"kind": kind}
     if getattr(args, "seed", None) is not None:
         doc["seed"] = args.seed
     if kind == "verify" and getattr(args, "suite", None):
@@ -663,16 +671,41 @@ def main(argv=None) -> int:
         return 2
 
 
+def _parse_profile(doc: dict) -> Committee:
+    """The committee of a replay profile file {profile: [...], ell: int}."""
+    profile = doc.get("profile")
+    if not isinstance(profile, list) or not profile:
+        raise ConfigError("profile", "must be a non-empty list")
+    values = [_exact(v, "profile") for v in profile]
+    ell = _int_field(doc, "ell", minimum=0, required=True)
+    if ell > (len(values) - 1) // 2:
+        raise ConfigError("ell", f"at most (n-1)/2 = {(len(values) - 1) // 2}")
+    return Committee(values, ell)
+
+
+def _parse_schedule(doc: dict, n: int) -> adversaries.ReplacementSchedule:
+    """A schedule.json document: steps [index in 1..n, candidate]."""
+    steps = doc.get("steps")
+    if not isinstance(steps, list):
+        raise ConfigError("steps", "must be a list of [index, candidate]")
+    parsed = []
+    for step in steps:
+        if not isinstance(step, list) or len(step) != 2:
+            raise ConfigError("steps", f"{step!r} is not [index, candidate]")
+        i, y = step
+        if isinstance(i, bool) or not isinstance(i, int) or not 1 <= i <= n:
+            raise ConfigError("steps", f"index {i!r} outside 1..{n}")
+        parsed.append((i, _exact(y, "steps")))
+    return adversaries.ReplacementSchedule(parsed, doc.get("provenance", "?"))
+
+
 def _dispatch(args) -> int:
     cmd = args.command
     if cmd == "replay":
         with open(args.profile) as fh:
-            prof = json.load(fh)
-        committee = Committee.from_json_profile(prof["profile"], prof["ell"])
+            committee = _parse_profile(_json_object(fh.read()))
         with open(args.schedule) as fh:
-            doc = json.load(fh)
-        steps = [(i, Fraction(y)) for i, y in doc["steps"]]
-        sched = adversaries.ReplacementSchedule(steps, doc.get("provenance", "?"))
+            sched = _parse_schedule(_json_object(fh.read()), committee.n)
         res = adversaries.replay(committee, sched)
         print(json.dumps({"accepted_all": res.accepted_all,
                           "failed_at": res.failed_at,

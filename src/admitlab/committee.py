@@ -16,7 +16,7 @@ from __future__ import annotations
 import numbers
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 
 def _check_rational(x, what: str):
@@ -32,16 +32,9 @@ def _double(v):
 class Committee:
     """Sorted fixed-size profile of exact opinions with member identities."""
 
-    __slots__ = ("values", "ids", "n", "ell", "threshold",
-                 "initial_x1", "initial_xn", "diameter", "_next_id")
+    __slots__ = ("values", "ids", "n", "ell", "threshold", "_next_id")
 
-    def __init__(self, opinions: Sequence, ell: int,
-                 _internal: Optional[tuple] = None):
-        if _internal is not None:
-            (self.values, self.ids, self.n, self.ell, self.threshold,
-             self.initial_x1, self.initial_xn, self.diameter,
-             self._next_id) = _internal
-            return
+    def __init__(self, opinions: Sequence, ell: int):
         vals = sorted(_check_rational(v, "opinion") for v in opinions)
         n = len(vals)
         if n < 1:
@@ -53,16 +46,37 @@ class Committee:
         self.n = n
         self.ell = ell
         self.threshold = -((1 - n) // 2) + ell  # ceil((n-1)/2) + ell
-        self.initial_x1 = vals[0]
-        self.initial_xn = vals[-1]
-        self.diameter = vals[-1] - vals[0]
         self._next_id = n + 1
 
-    @staticmethod
-    def consensus(opinions: Sequence) -> "Committee":
-        """Committee under the consensus rule (ell at its maximum)."""
-        vals = list(opinions)
-        return Committee(vals, (len(vals) - 1) // 2)
+    @classmethod
+    def _of(cls, values: tuple, ids: tuple, like: "Committee",
+            next_id: int) -> "Committee":
+        """Sorted `values` with their `ids` under `like`'s size and rule."""
+        c = cls.__new__(cls)
+        c.values = values
+        c.ids = ids
+        c.n = like.n
+        c.ell = like.ell
+        c.threshold = like.threshold
+        c._next_id = next_id
+        return c
+
+    @property
+    def diameter(self):
+        """x_n - x_1 of the current profile."""
+        return self.values[-1] - self.values[0]
+
+    def scaled(self, mul: int) -> "Committee":
+        """The same members with every opinion times the positive int `mul`,
+        as ints; vote counts are invariant under the scaling.  Each product
+        must be an integer."""
+        if isinstance(mul, bool) or not isinstance(mul, int) or mul < 1:
+            raise ValueError(f"scale must be a positive int, got {mul!r}")
+        products = [v * mul for v in self.values]
+        if any(p.denominator != 1 for p in products):
+            raise ValueError(f"opinions times {mul} are not all integers")
+        return Committee._of(tuple(int(p) for p in products), self.ids,
+                             self, self._next_id)
 
     def opinion(self, i: int):
         """Opinion of the i-th member in sorted order, 1-based."""
@@ -113,10 +127,7 @@ class Committee:
         pos = bisect_right(vals, y)
         vals.insert(pos, y)
         ids.insert(pos, self._next_id)
-        return Committee((), 0, _internal=(
-            tuple(vals), tuple(ids), self.n, self.ell, self.threshold,
-            self.initial_x1, self.initial_xn, self.diameter,
-            self._next_id + 1))
+        return Committee._of(tuple(vals), tuple(ids), self, self._next_id + 1)
 
     def median(self):
         if self.n % 2 == 0:
@@ -148,22 +159,6 @@ class Committee:
             f = Fraction(v)
             out.append(f"{f.numerator}/{f.denominator}")
         return out
-
-    @staticmethod
-    def from_json_profile(profile: list, ell: int) -> "Committee":
-        vals = []
-        for s in profile:
-            if isinstance(s, str):
-                if "/" in s:
-                    num, den = s.split("/", 1)
-                    vals.append(Fraction(int(num), int(den)))
-                else:
-                    vals.append(Fraction(s))
-            elif isinstance(s, numbers.Rational) and not isinstance(s, float):
-                vals.append(s)
-            else:
-                raise TypeError(f"profile entries must be exact, got {s!r}")
-        return Committee(vals, ell)
 
     def __repr__(self):
         vals = ", ".join(str(v) for v in self.values[:6])
@@ -197,11 +192,8 @@ def shift_lemma_check(before: Committee, after: Committee) -> tuple[bool, object
 
 
 def _reflect(c: Committee) -> Committee:
-    vals = tuple(-v for v in reversed(c.values))
-    ids = tuple(reversed(c.ids))
-    return Committee((), 0, _internal=(
-        vals, ids, c.n, c.ell, c.threshold,
-        -c.initial_xn, -c.initial_x1, c.diameter, c._next_id))
+    return Committee._of(tuple(-v for v in reversed(c.values)),
+                         tuple(reversed(c.ids)), c, c._next_id)
 
 
 def _shift_check_right(before: Committee, after: Committee,
@@ -231,7 +223,7 @@ def drift_bound_check(initial: Committee, current: Committee) -> tuple[bool, obj
     # decided in integers; a slack is its scaled value over 2*ell - 1
     m = 2 * ell - 1
     dk = initial.diameter * k
-    right = m * (initial.initial_xn - current.values[k - ell + 2 - 1]) + dk
-    left = m * (current.values[k + ell - 1] - initial.initial_x1) + dk
+    right = m * (initial.values[-1] - current.values[k - ell + 2 - 1]) + dk
+    left = m * (current.values[k + ell - 1] - initial.values[0]) + dk
     return (right >= 0 and left >= 0,
             Fraction(right, m), Fraction(left, m))

@@ -340,7 +340,8 @@ def _immunity_phase_transition(map_fn):
         width = 3 << 18  # divisible by 2k for k <= 3, keeps values integral
         cfg = adversaries.immunity_config(k, 1, width, width)
         irr0, _, _ = adversaries.one_step_irreplaceable(cfg, 2 * k + 2)
-        cur, accepted = adversaries.fuzz_on_committee(cfg, 10 ** 4, Rng(77 + k))
+        report = adversaries.FuzzReport(0, 0, 0)
+        cur = adversaries.fuzz_epoch(cfg, 10 ** 4, Rng(77 + k), report)
         median_id = cfg.ids[cfg.n // 2]
         still_there = median_id in cur.ids
         irr1 = False
@@ -348,7 +349,8 @@ def _immunity_phase_transition(map_fn):
             pos = cur.ids.index(median_id) + 1
             irr1, _, _ = adversaries.one_step_irreplaceable(cur, pos)
         immunity_ok = (cfg.threshold == 3 * k + 3 and irr0 and still_there
-                       and irr1 and accepted == 10 ** 4)
+                       and irr1 and report.accepted == 10 ** 4
+                       and report.clean)
 
         # removal phase: threshold 3k+2 removes every original id
         n = 4 * k + 3
@@ -359,7 +361,7 @@ def _immunity_phase_transition(map_fn):
                       and not (set(c.ids) & set(res.committee.ids)))
 
         ok = ok and immunity_ok and removal_ok
-        steps += accepted + len(res.vote_counts)
+        steps += report.accepted + len(res.vote_counts)
         details.append(f"k={k}: immunity {'ok' if immunity_ok else 'FAIL'}, "
                        f"removal {'ok' if removal_ok else 'FAIL'}")
     return ok, "; ".join(details), steps

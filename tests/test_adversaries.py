@@ -8,8 +8,11 @@ from fractions import Fraction
 import pytest
 
 from admitlab.adversaries import (
+    FuzzReport,
     _sample_int_replacement,
     arithmetic_drift_schedule,
+    committee_fuzz,
+    fuzz_epoch,
     geometric_tightness_run,
     immunity_config,
     legal_intervals,
@@ -89,14 +92,10 @@ def test_tightness_run_within_bound_and_above_fixture():
     assert 0 < tr.bound_ratio <= 1
     # lower fixture: displacement >= D*k/(16*ell), exact pilot-run committed
     k, ell = 6, 1
-    bound = Fraction(tr.final.diameter * k, 2 * ell - 1)
+    bound = Fraction(tr.initial.diameter * k, 2 * ell - 1)
     assert tr.displacement >= bound * Fraction(2 * ell - 1, 16 * ell)
     # the drift theorem itself, exactly
-    holds, *_ = drift_bound_check(
-        Committee([Fraction(0)], 0, _internal=(
-            tr.final.values, tr.final.ids, tr.final.n, tr.final.ell,
-            tr.final.threshold, tr.final.initial_x1, tr.final.initial_xn,
-            tr.final.diameter, 0)), tr.final)
+    holds, *_ = drift_bound_check(tr.initial, tr.final)
     assert holds
 
 
@@ -122,7 +121,7 @@ def test_tightness_grid_ratio_spread():
         tr = geometric_tightness_run(k, ell)
         assert _tightness_digest(tr) == _TIGHTNESS_PINS[(k, ell)]
         assert 0 < tr.bound_ratio <= 1
-        assert tr.displacement >= Fraction(tr.final.diameter * k, 16 * ell)
+        assert tr.displacement >= Fraction(tr.initial.diameter * k, 16 * ell)
         ratios.append(tr.bound_ratio)
     assert max(ratios) / min(ratios) < 4
 
@@ -217,11 +216,11 @@ def test_irreplaceable_matches_dense_scan():
 
 
 def test_immunity_survives_random_replacements_small():
-    from admitlab.adversaries import fuzz_on_committee
-
     cfg = immunity_config(1, 1, 1 << 20, 1 << 20)
-    c, accepted = fuzz_on_committee(cfg, 500, Rng(888))
-    assert accepted == 500
+    report = FuzzReport(0, 0, 0)
+    c = fuzz_epoch(cfg, 500, Rng(888), report)
+    assert report.accepted == 500
+    assert report.clean
     # same identity still present and still irreplaceable
     median_id = cfg.ids[cfg.n // 2]
     assert median_id in c.ids
@@ -233,15 +232,14 @@ def test_immunity_survives_random_replacements_small():
 def test_immunity_stronger_property_median_stays_median():
     # experimental check of the one-line remark: with the gap above k*d the
     # protected member does not merely survive, it remains the median
-    from admitlab.adversaries import fuzz_on_committee
-
     for k in (1, 2):
         cfg = immunity_config(k, 1, 3 << 18, 3 << 18)
         assert cfg.values[2 * k + 1] - cfg.values[2 * k] > \
             k * (cfg.values[2 * k] - cfg.values[0])
         median_id = cfg.ids[2 * k + 1]
-        c, accepted = fuzz_on_committee(cfg, 2000, Rng(900 + k))
-        assert accepted == 2000
+        report = FuzzReport(0, 0, 0)
+        c = fuzz_epoch(cfg, 2000, Rng(900 + k), report)
+        assert report.accepted == 2000
         assert c.ids[2 * k + 1] == median_id
 
 
@@ -272,6 +270,56 @@ def test_removal_schedule_rejected_in_immunity_phase():
         removal_schedule(Committee([1, 1, 2, 3, 4, 5, 6], ell=2))
 
 
+# sha256 of repr((accepted, epochs, median_moves, drift, shift, monotone and
+# range violations, the stream's next draw)) of committee_fuzz(n, ell, 2000,
+# Rng(seed), consensus_checks), recorded before the two copies of the fuzz
+# loop became fuzz_epoch
+_FUZZ_PINS = {
+    (11, 2, False, 11):
+    "749a145e5537d42f515a759bfb46c0a6a5b5c31f469118ed7515e005c9c9404e",
+    (5, 2, True, 12):
+    "f1c69e5ac6ca770c62a536c1cdbc21725e6e0c7b71b8d0cf2b0cbd692982aa66",
+    (11, 1, False, 13):
+    "ac0a1a5c7512f3c5fec87b508a19f9746130a5cabc9e70e9b9a5bcfa1493a390",
+    (11, 5, False, 14):
+    "038c27264c7d09fa1b7fff808c01feace5586d4bd6904480ae1455d7ace2bf29",
+    (3, 1, True, 15):
+    "8d354e320a527aa85a3e4e9cc9b116b4dd7649ef65eb5d9fd877af648884d2ad",
+    (7, 3, True, 16):
+    "3ab6e30ec4ef132d64fb2d285be7043aa2a7052f11ad084d70b31bca46611137",
+}
+
+
+@pytest.mark.parametrize("n, ell, consensus, seed", sorted(_FUZZ_PINS))
+def test_committee_fuzz_pinned(n, ell, consensus, seed):
+    rng = Rng(seed)
+    rep = committee_fuzz(n, ell, 2000, rng, consensus_checks=consensus)
+    blob = repr((rep.accepted, rep.epochs, rep.median_moves,
+                 rep.drift_violations, rep.shift_violations,
+                 rep.monotone_violations, rep.range_violations, rng.uniform()))
+    assert hashlib.sha256(blob.encode()).hexdigest() == \
+        _FUZZ_PINS[(n, ell, consensus, seed)]
+
+
+# sha256 of repr((final values, final ids)) of criterion 12's immunity fuzz,
+# recorded from the fixed-committee copy of the loop before the merge
+_IMMUNITY_FUZZ_PINS = {
+    1: "7e8d452d94fa97d286751f14861b58c3816a6afc36005b0e5530dba5e39c16c5",
+    2: "52dcce240808fa9db6e22c82fbcbaf4abba6d3e1529d24f17539e6e0874b57fb",
+    3: "eeca7a981158a92972a2ee945a79e5212bc92f8dc6c70daf36caae8d748ad236",
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_immunity_fuzz_epoch_pinned(k):
+    report = FuzzReport(0, 0, 0)
+    c = fuzz_epoch(immunity_config(k, 1, 3 << 18, 3 << 18), 10 ** 4,
+                   Rng(77 + k), report)
+    assert (report.accepted, report.epochs, report.clean) == (10 ** 4, 1, True)
+    blob = repr((list(c.values), list(c.ids)))
+    assert hashlib.sha256(blob.encode()).hexdigest() == _IMMUNITY_FUZZ_PINS[k]
+
+
 def _illegal_pick(committee, rng):
     # the median swapped for a candidate far right of everyone: 0 votes
     return (committee.n + 1) // 2, 4 * committee.values[-1] + 1
@@ -284,8 +332,8 @@ def test_fuzz_raises_typed_error_on_rejected_pick(monkeypatch):
     with pytest.raises(ArithmeticError, match="rejected at accepted step 0"):
         adversaries.committee_fuzz(11, 2, 10, Rng(3))
     with pytest.raises(ArithmeticError, match="rejected at accepted step 0"):
-        adversaries.fuzz_on_committee(Committee(list(range(1, 12)), ell=2),
-                                      10, Rng(3))
+        adversaries.fuzz_epoch(Committee(list(range(1, 12)), ell=2), 10,
+                               Rng(3), FuzzReport(0, 0, 0))
 
 
 # --------------------------------------------------------------- sampling
@@ -298,7 +346,7 @@ def test_legal_intervals_majority_everything_near():
 
 
 def test_sample_respects_member_pool():
-    c = Committee.consensus([0, 8, 64])
+    c = Committee([0, 8, 64], ell=1)
     pools = {i: legal_intervals(c, i) for i in (1, 2, 3)}
     assert pools == {1: [(0, 16)], 2: [(8, 8)], 3: [(-48, 64)]}
     rng = Rng(1)

@@ -53,7 +53,7 @@ def test_unknown_keys_rejected():
 
 _GROW = {"kind": "grow", "rule": "majority", "accepted": 10, "seed": 1}
 _COMMITTEE = {"kind": "committee", "n": 7, "ell": 1, "steps": 10, "seed": 1}
-_REMOVAL = {"kind": "adversary", "construction": "removal", "k": 1, "seed": 1}
+_REMOVAL = {"kind": "adversary", "construction": "removal", "k": 1}
 
 
 @pytest.mark.parametrize("base, key, value", [
@@ -70,8 +70,8 @@ _REMOVAL = {"kind": "adversary", "construction": "removal", "k": 1, "seed": 1}
     (_GROW, "raw_budget", 0),
     (_REMOVAL, "k", None),
     (_REMOVAL, "k", True),
-    ({"kind": "adversary", "construction": "tightness", "k": 3,
-      "seed": 1}, "ell", None),
+    ({"kind": "adversary", "construction": "tightness", "k": 3},
+     "ell", None),
 ])
 def test_integer_fields_validated(base, key, value):
     doc = dict(base)
@@ -85,9 +85,9 @@ def test_integer_fields_validated(base, key, value):
 
 
 _IMMUNITY = {"kind": "adversary", "construction": "immunity", "k": 1,
-             "ell": 1, "seed": 1}
-_DRIFT = {"kind": "adversary", "construction": "drift", "n": 7, "seed": 1}
-_ORACLE = {"kind": "oracle", "oracle": "g_r", "grid": [0.01], "seed": 1}
+             "ell": 1}
+_DRIFT = {"kind": "adversary", "construction": "drift", "n": 7}
+_ORACLE = {"kind": "oracle", "oracle": "g_r", "grid": [0.01]}
 
 
 @pytest.mark.parametrize("base, key, value", [
@@ -107,8 +107,8 @@ _ORACLE = {"kind": "oracle", "oracle": "g_r", "grid": [0.01], "seed": 1}
     (_ORACLE, "p", "hi"),
     (_ORACLE, "p", True),
     (_ORACLE, "p", 0.25),
-    ({"kind": "oracle", "oracle": "truncated_triangle_cdf", "grid": [0.5],
-      "seed": 1}, "p", None),
+    ({"kind": "oracle", "oracle": "truncated_triangle_cdf", "grid": [0.5]},
+     "p", None),
     (_GROW, "extra_quantiles", ["a"]),
     (_GROW, "extra_quantiles", [True]),
     (_GROW, "extra_quantiles", [1.5]),
@@ -128,8 +128,7 @@ def test_free_form_fields_validated(base, key, value):
 
 
 def test_oracle_point_outside_domain_names_grid():
-    cfg = _parse({"kind": "oracle", "oracle": "tau", "grid": [0.75, 0.2],
-                  "seed": 1})
+    cfg = _parse({"kind": "oracle", "oracle": "tau", "grid": [0.75, 0.2]})
     with pytest.raises(ConfigError) as err:
         run_experiment(cfg)
     assert err.value.path == "grid"
@@ -150,6 +149,22 @@ def test_seed_mandatory():
         _parse({"kind": "grow", "rule": "majority", "accepted": 10})
 
 
+@pytest.mark.parametrize("doc, key", [
+    (dict(_REMOVAL, seed=1), "seed"),
+    (dict(_ORACLE, seed=1), "seed"),
+    ({"kind": "verify", "seed": 1}, "seed"),
+    ({"kind": "sweep", "base": _GROW, "axis": {"accepted": []},
+      "seeds": [1], "seed": 1}, "seed"),
+    ({"kind": "sweep", "base": _REMOVAL, "axis": {"k": [1, 2]},
+      "seeds": [1]}, "base.kind"),
+])
+def test_seed_only_where_read(doc, key):
+    # only grow and committee runs draw random numbers
+    with pytest.raises(ConfigError) as err:
+        _parse(doc)
+    assert err.value.path == key
+
+
 def test_grow_run_and_determinism(tmp_path):
     doc = {"kind": "grow", "rule": "majority", "initial": [0.25],
            "accepted": 2000, "seed": 7}
@@ -164,8 +179,7 @@ def test_grow_run_and_determinism(tmp_path):
 
 
 def test_adversary_removal_record():
-    rec = run_experiment(_parse({"kind": "adversary", "construction": "removal",
-                                 "k": 1, "seed": 1}))
+    rec = run_experiment(_parse(_REMOVAL))
     assert rec.verdicts["all_original_ids_removed"]
     assert rec.verdicts["all_steps_legal"]
     assert rec.passed
@@ -173,7 +187,7 @@ def test_adversary_removal_record():
 
 def test_adversary_drift_record():
     rec = run_experiment(_parse({"kind": "adversary", "construction": "drift",
-                                 "n": 7, "target_displacement": 100, "seed": 1}))
+                                 "n": 7, "target_displacement": 100}))
     assert rec.passed
     assert rec.summary["steps"] > 0
 
@@ -187,20 +201,18 @@ def test_committee_run_record():
 
 def test_oracle_grid_record():
     rec = run_experiment(_parse({"kind": "oracle", "oracle": "tau",
-                                 "grid": [0.6, 0.75, 0.9], "seed": 1}))
+                                 "grid": [0.6, 0.75, 0.9]}))
     rows = rec.summary["rows"]
     assert rows[1][1] == pytest.approx(0.8449489743, abs=1e-9)
 
 
 def test_verify_quick_suite():
-    rec = run_experiment(_parse({"kind": "verify", "suite": "quick",
-                                 "seed": 3}))
+    rec = run_experiment(_parse({"kind": "verify", "suite": "quick"}))
     assert rec.passed
     assert set(rec.verdicts) == {"criterion-01", "criterion-02"}
     # criteria run on their committed sizes: no trials knob
     with pytest.raises(ConfigError) as err:
-        _parse({"kind": "verify", "suite": "quick", "seed": 3,
-                "trials": 20000})
+        _parse({"kind": "verify", "suite": "quick", "trials": 20000})
     assert err.value.path == "trials"
 
 
@@ -232,6 +244,9 @@ def test_emit_outputs_summary_has_provenance(tmp_path):
     assert summary["seed"] == 11
     assert len(summary["config_hash"]) == 16
     assert "verdicts" in summary
+    # a run that draws no random numbers records no seed
+    emit_outputs(run_experiment(_parse(_ORACLE)), str(tmp_path))
+    assert json.load(open(tmp_path / "summary.json"))["seed"] is None
 
 
 def test_float_serialization_17_digits(tmp_path):
@@ -245,8 +260,7 @@ def test_float_serialization_17_digits(tmp_path):
 
 
 def test_committee_schedule_rationals_as_strings(tmp_path):
-    rec = run_experiment(_parse({"kind": "adversary", "construction": "removal",
-                                 "k": 1, "seed": 1}))
+    rec = run_experiment(_parse(_REMOVAL))
     files = emit_outputs(rec, str(tmp_path))
     sched = json.load(open(tmp_path / "schedule.json"))
     assert all("/" in y for _, y in sched["steps"])
@@ -291,7 +305,7 @@ def test_cli_main_verify(capsys):
     assert sorted(c.num for c in CRITERIA) == list(range(1, 16))
     v = CRITERIA[1].run()
     assert v.line == f"criterion 02 [veto fixed point]: PASS ({v.detail})"
-    rc = main(["verify", "--suite", "criterion-02", "--seed", "1"])
+    rc = main(["verify", "--suite", "criterion-02"])
     out = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert out["verdicts"] == {"criterion-02": v.passed}
@@ -304,7 +318,7 @@ def test_cli_main_verify(capsys):
 def test_cli_main_config_error_exit_status(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"kind": "adversary", "construction": "immunity",
-                               "k": 1, "ell": 1, "d": "abc", "seed": 1}))
+                               "k": 1, "ell": 1, "d": "abc"}))
     rc = main(["adversary", "--config", str(cfg)])
     err = capsys.readouterr().err
     assert rc == 2
@@ -314,6 +328,10 @@ def test_cli_main_config_error_exit_status(tmp_path, capsys):
         assert main([cmd, "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith(
             "admitlab: config error: $: invalid JSON")
+    # argparse usage errors exit 2 too: only grow and committee take --seed
+    with pytest.raises(SystemExit) as exit_:
+        main(["oracle", "--seed", "1"])
+    assert exit_.value.code == 2
 
 
 def test_cli_main_grow_to_files(tmp_path):
@@ -328,7 +346,7 @@ def test_cli_main_grow_to_files(tmp_path):
 
 def test_cli_replay_round_trip(tmp_path):
     rec = run_experiment(_parse({"kind": "adversary", "construction": "drift",
-                                 "n": 7, "target_displacement": 5, "seed": 1}))
+                                 "n": 7, "target_displacement": 5}))
     emit_outputs(rec, str(tmp_path))
     prof = tmp_path / "profile.json"
     prof.write_text(json.dumps({"profile": [str(i) for i in range(1, 8)],
@@ -336,6 +354,41 @@ def test_cli_replay_round_trip(tmp_path):
     rc = main(["replay", "--schedule", str(tmp_path / "schedule.json"),
                "--profile", str(prof)])
     assert rc == 0
+
+
+_REPLAY_PROFILE = {"profile": ["-3", "-1/2", 0, 2, 5, 8, 13], "ell": 0}
+_REPLAY_SCHEDULE = {"provenance": "hand", "steps": [[1, "8/1"], [1, 9]]}
+
+
+@pytest.mark.parametrize("profile, steps, key", [
+    ({"profile": _REPLAY_PROFILE["profile"]}, None, "ell"),
+    (dict(_REPLAY_PROFILE, ell=True), None, "ell"),
+    (dict(_REPLAY_PROFILE, ell=4), None, "ell"),
+    (dict(_REPLAY_PROFILE, profile=["1/0", 1, 2]), None, "profile"),
+    (dict(_REPLAY_PROFILE, profile=[0, 1.5, 2]), None, "profile"),
+    (dict(_REPLAY_PROFILE, profile=[]), None, "profile"),
+    (None, [[9, "1/2"]], "steps"),
+    (None, [[0, 1]], "steps"),
+    (None, [[True, 1]], "steps"),
+    (None, [[1, 7.5]], "steps"),
+    (None, [[1, "x"]], "steps"),
+    (None, [[1]], "steps"),
+])
+def test_cli_replay_validates_files(profile, steps, key, tmp_path, capsys):
+    prof, sched = tmp_path / "profile.json", tmp_path / "schedule.json"
+    prof.write_text(json.dumps(profile or _REPLAY_PROFILE))
+    sched.write_text(json.dumps(dict(_REPLAY_SCHEDULE,
+                                     steps=steps or _REPLAY_SCHEDULE["steps"])))
+    argv = ["replay", "--schedule", str(sched), "--profile", str(prof)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"admitlab: config error: {key}:")
+    # the files without the fault replay: signed exact values are fine
+    prof.write_text(json.dumps(_REPLAY_PROFILE))
+    sched.write_text(json.dumps(_REPLAY_SCHEDULE))
+    assert main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["final_profile"] == ["0/1", "2/1", "5/1", "8/1", "8/1", "9/1",
+                                    "13/1"]
 
 
 # sha256 of trajectory.csv, of summary.json without wall_clock_s (keys

@@ -21,7 +21,7 @@ from admitlab.adversaries import (
     removal_schedule,
     replay,
 )
-from admitlab.cli import RunRecord, emit_outputs
+from admitlab.cli import RunRecord, _parse_profile, emit_outputs
 from admitlab.rng import Rng
 
 
@@ -224,10 +224,8 @@ def _brute_replay(committee: Committee, steps, need: int):
         pos = sum(1 for v in vals if v <= y)
         vals.insert(pos, y)
         ids.insert(pos, committee._next_id)
-        committee = Committee((), 0, _internal=(
-            tuple(vals), tuple(ids), committee.n, committee.ell,
-            committee.threshold, committee.initial_x1, committee.initial_xn,
-            committee.diameter, committee._next_id + 1))
+        committee = Committee._of(tuple(vals), tuple(ids), committee,
+                                  committee._next_id + 1)
     return counts, committee
 
 
@@ -282,13 +280,27 @@ def test_json_profile_round_trip():
     c = Committee([Fraction(1, 3), Fraction(1, 2), 2], ell=1)
     prof = c.to_json_profile()
     assert prof == ["1/3", "1/2", "2/1"]
-    back = Committee.from_json_profile(prof, ell=1)
+    back = _parse_profile({"profile": prof, "ell": 1})
     assert back.values == c.values
+
+
+def test_scaled_keeps_members_and_votes():
+    c = Committee([Fraction(1, 3), Fraction(1, 2), 2], ell=1)
+    c = c.replace_attempt(3, Fraction(5, 6))[1]
+    s = c.scaled(6)
+    assert s.values == (2, 3, 5) and all(type(v) is int for v in s.values)
+    assert (s.ids, s.n, s.ell, s.threshold) == (c.ids, c.n, c.ell, c.threshold)
+    assert s.replace_attempt(1, 4)[1].ids == (2, 5, 4)
+    assert [s.vote_count(1, y) for y in (1, 4, 9)] == \
+        [c.vote_count(1, Fraction(y, 6)) for y in (1, 4, 9)]
+    for bad in (4, 0, -6, True):
+        with pytest.raises(ValueError):
+            c.scaled(bad)
 
 
 def test_legal_intervals_consensus_shape():
     # consensus: replacing the smallest allows y in [x_1, 2*x_2 - x_1]
-    c = Committee.consensus([0, 4, 10])
+    c = Committee([0, 4, 10], ell=1)
     ivs = legal_intervals(c, 1)
     assert ivs == [(0, 8)]
     # interior member: only re-election

@@ -17,3 +17,21 @@ def test_no_assert_statements_in_src():
                   if isinstance(node, ast.Assert)]
     assert len(list(SRC.glob("*.py"))) > 5
     assert not found, f"assert statements in src: {found}"
+
+
+def test_committee_layout_private_to_committee_module():
+    # the slot layout of a Committee is decided in committee.py alone:
+    # other modules build committees through its public methods
+    private = {"_of", "_next_id"}
+    found, inside = [], 0
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        hits = [f"{path.name}:{node.lineno} {node.attr}"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr in private]
+        if path.name == "committee.py":
+            inside = len(hits)
+        else:
+            found += hits
+    assert inside > 0
+    assert not found, f"Committee layout used outside committee.py: {found}"
