@@ -19,7 +19,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -132,7 +132,7 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError("mode", f"must be steps or jump, got {cfg.mode!r}")
         if cfg.mode == "jump" and cfg.rule.kind != "veto":
             raise ConfigError("mode", "jump mode is veto-only")
-        cfg.log_admitted = bool(doc.get("log_admitted", False))
+        cfg.log_admitted = _bool_field(doc, "log_admitted")
         extra = doc.get("extra_quantiles", [])
         if not isinstance(extra, list):
             raise ConfigError("extra_quantiles", "must be a list")
@@ -153,7 +153,7 @@ def parse_config(text: str) -> ExperimentConfig:
         cfg.n = _int_field(doc, "n", minimum=3, required=True)
         cfg.ell = _int_field(doc, "ell", minimum=0, required=True)
         cfg.steps = _int_field(doc, "steps", minimum=1, default=1000)
-        cfg.consensus_checks = bool(doc.get("consensus_checks", False))
+        cfg.consensus_checks = _bool_field(doc, "consensus_checks")
         if cfg.n % 2 == 0:
             # drift/potential monitors are stated for odd sizes only
             raise ConfigError("n", "monitored committee runs require odd n")
@@ -231,6 +231,14 @@ def _int_field(doc: dict, key: str, minimum: Optional[int] = None,
     return value
 
 
+def _bool_field(doc: dict, key: str) -> bool:
+    """doc[key] as a JSON true/false, False when the key is absent."""
+    value = doc.get(key, False)
+    if not isinstance(value, bool):
+        raise ConfigError(key, f"must be true or false, got {value!r}")
+    return value
+
+
 def _is_number(value) -> bool:
     """A JSON number; true/false are not numbers here."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -266,19 +274,22 @@ def _rational_field(doc: dict, key: str):
 
 
 def _parse_rule(node) -> RuleSpec:
-    if not isinstance(node, (dict, str)):
+    node = {"kind": node} if isinstance(node, str) else node
+    if not isinstance(node, dict):
         raise ConfigError("rule", "must be an object or rule name")
-    if isinstance(node, str):
-        node = {"kind": node}
     kind = node.get("kind")
-    if kind == "veto":
-        r = node.get("r")
-        if not isinstance(r, (int, float)) or not 0.0 < r < 1.0:
-            raise ConfigError("rule.r", f"must be in (0, 1), got {r!r}")
-        return RuleSpec("veto", r=float(r))
-    if kind in ("majority", "consensus"):
+    if kind not in ("majority", "consensus", "veto"):
+        raise ConfigError("rule.kind", f"unknown rule kind {kind!r}")
+    allowed = {"kind", "r"} if kind == "veto" else {"kind"}
+    unknown = sorted(node.keys() - allowed)
+    if unknown:
+        raise ConfigError(f"rule.{unknown[0]}", "unknown key")
+    if kind != "veto":
         return RuleSpec(kind)
-    raise ConfigError("rule.kind", f"unknown rule kind {kind!r}")
+    r = node.get("r")
+    if not _is_number(r) or not 0.0 < r < 1.0:
+        raise ConfigError("rule.r", f"must be in (0, 1), got {r!r}")
+    return RuleSpec("veto", r=float(r))
 
 
 def _parse_initial(node, rule: RuleSpec) -> list:
@@ -322,19 +333,13 @@ def _config_hash(doc: dict) -> str:
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunRecord:
-    t0 = time.perf_counter()
-    if cfg.kind == "grow":
-        record = _run_grow(cfg)
-    elif cfg.kind == "committee":
-        record = _run_committee(cfg)
-    elif cfg.kind == "adversary":
-        record = _run_adversary(cfg)
-    elif cfg.kind == "oracle":
-        record = _run_oracle(cfg)
-    elif cfg.kind == "verify":
-        record = _run_verify(cfg)
-    else:
+    runner = {"grow": _run_grow, "committee": _run_committee,
+              "adversary": _run_adversary, "oracle": _run_oracle,
+              "verify": _run_verify}.get(cfg.kind)
+    if runner is None:
         raise ConfigError("kind", f"cannot run {cfg.kind!r} directly")
+    t0 = time.perf_counter()
+    record = runner(cfg)
     record.wall_clock = time.perf_counter() - t0
     return record
 
@@ -380,18 +385,8 @@ def _run_grow(cfg: ExperimentConfig) -> RunRecord:
 def _run_committee(cfg: ExperimentConfig) -> RunRecord:
     rep = adversaries.committee_fuzz(cfg.n, cfg.ell, cfg.steps, Rng(cfg.seed),
                                      consensus_checks=cfg.consensus_checks)
-    verdicts = {"invariants_clean": rep.clean}
-    summary = {
-        "accepted": rep.accepted,
-        "epochs": rep.epochs,
-        "median_moves": rep.median_moves,
-        "drift_violations": rep.drift_violations,
-        "shift_violations": rep.shift_violations,
-        "monotone_violations": rep.monotone_violations,
-        "range_violations": rep.range_violations,
-    }
     return RunRecord(cfg.raw, cfg.seed, _config_hash(cfg.raw), "committee",
-                     0.0, verdicts, summary)
+                     0.0, {"invariants_clean": rep.clean}, asdict(rep))
 
 
 def _run_adversary(cfg: ExperimentConfig) -> RunRecord:
@@ -576,28 +571,25 @@ def sweep(base_doc: dict, axis: dict, seeds: list) -> dict:
     the seed written into its config, so cells are independent.
     """
     (axis_key, axis_values), = axis.items()
-    cells = []
+    results = []
     for value in (axis_values if axis_values else [None]):
         for seed in seeds:
             doc = json.loads(json.dumps(base_doc))
             if value is not None:
                 _set_path(doc, axis_key, value)
             doc["seed"] = seed
-            cells.append((value, seed, doc))
-
-    results = [_sweep_cell(*c) for c in cells]
+            results.append(_sweep_cell(value, seed, doc))
 
     by_axis: dict = {}
     for r in results:
         by_axis.setdefault(r["axis"], []).append(r)
-    aggregated = {
+    return {
         "cells": results,
         "pass_fraction": (sum(r["passed"] for r in results) / len(results)
                           if results else 1.0),
         "per_axis_pass": {str(k): sum(r["passed"] for r in v) / len(v)
                           for k, v in by_axis.items()},
     }
-    return aggregated
 
 
 def _sweep_cell(value, seed: int, doc: dict) -> dict:
@@ -611,11 +603,10 @@ def _sweep_cell(value, seed: int, doc: dict) -> dict:
 
 
 def _set_path(doc: dict, dotted: str, value) -> None:
-    parts = dotted.split(".")
-    node = doc
-    for p in parts[:-1]:
-        node = node.setdefault(p, {})
-    node[parts[-1]] = value
+    *parents, last = dotted.split(".")
+    for p in parents:
+        doc = doc.setdefault(p, {})
+    doc[last] = value
 
 
 # ---------------------------------------------------------------------- CLI
@@ -646,10 +637,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _read_json(path: str, flag: str) -> dict:
+    """The JSON object in the file that command-line option `flag` names."""
+    try:
+        with open(path) as fh:
+            return _json_object(fh.read())
+    except OSError as e:
+        raise ConfigError(flag, f"cannot read {path}: {e.strerror}") from None
+
+
 def _load_config(args, kind: str) -> ExperimentConfig:
     if args.config:
-        with open(args.config) as fh:
-            doc = _json_object(fh.read())
+        doc = _read_json(args.config, "--config")
     else:
         doc = {"kind": kind}
     if getattr(args, "seed", None) is not None:
@@ -702,10 +701,9 @@ def _parse_schedule(doc: dict, n: int) -> adversaries.ReplacementSchedule:
 def _dispatch(args) -> int:
     cmd = args.command
     if cmd == "replay":
-        with open(args.profile) as fh:
-            committee = _parse_profile(_json_object(fh.read()))
-        with open(args.schedule) as fh:
-            sched = _parse_schedule(_json_object(fh.read()), committee.n)
+        committee = _parse_profile(_read_json(args.profile, "--profile"))
+        sched = _parse_schedule(_read_json(args.schedule, "--schedule"),
+                                committee.n)
         res = adversaries.replay(committee, sched)
         print(json.dumps({"accepted_all": res.accepted_all,
                           "failed_at": res.failed_at,
@@ -714,11 +712,7 @@ def _dispatch(args) -> int:
         return 0 if res.accepted_all else 1
 
     if cmd == "sweep":
-        if not args.config:
-            print("sweep requires --config", file=sys.stderr)
-            return 2
-        with open(args.config) as fh:
-            doc = parse_config(fh.read()).raw  # validates shape
+        doc = _load_config(args, cmd).raw  # validates shape
         report = sweep(doc["base"], doc["axis"], doc["seeds"])
         out = json.dumps(_jsonable(report), indent=1, default=_fmt)
         if args.out:

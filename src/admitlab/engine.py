@@ -10,7 +10,12 @@ Two sampling modes are available:
   per raw step and applies the rule's kernel from `rules.kernel`, its
   decision on the cached summary (median, extremes or a quantile), which is
   re-read only after a member joins.  It takes the same draws and decisions
-  as a loop over `step`.
+  as a loop over `step`.  The draws come in buffers from
+  `Rng.uniform_block`, `need = min(_CHUNK_PAIRS, goal - size, budget - raw)`
+  pairs at a time.  A step takes exactly two draws and admits at most one
+  member, so the run is certain to last at least `need` more steps and every
+  buffer is used up: the stream ends exactly where 2 * raw `uniform()`
+  calls would leave it, and runs chained on one `Rng` see the same draws.
 * ``jump`` (veto rules only): the number of consecutive rejected steps is
   sampled from the geometric law implied by the total acceptance
   probability `oracles.accept_any_veto`, and the admitted value is drawn
@@ -18,7 +23,9 @@ Two sampling modes are available:
   process law, radically cheaper when the acceptance probability collapses
   (r > 1/2 runs need ~k^2 raw steps for k accepted members, which is
   unreachable step by step).  Trajectories from the two modes are
-  different sample paths of the same distribution.
+  different sample paths of the same distribution.  Jump mode draws one
+  `uniform()` at a time: it may stop between the two draws of a member
+  (budget) or before any (stuck process), so a buffer could overshoot.
 """
 
 from __future__ import annotations
@@ -31,6 +38,8 @@ from .group import GroupState
 from .oracles import accept_any_veto
 from .rng import Rng
 from .rules import CandidatePair, Decision, RuleSpec, decide, kernel
+
+_CHUNK_PAIRS = 32768  # most candidate pairs the steps driver draws at once
 
 
 @dataclass(frozen=True)
@@ -177,22 +186,31 @@ def run(initial: GroupState, rule: RuleSpec, rng: Rng,
         s = summary()
         while (goal is None or group.size < goal) and \
               (raw_budget is None or raw < raw_budget):
-            u1 = uniform()
-            u2 = uniform()
-            if u2 < u1:
-                u1, u2 = u2, u1
-            raw += 1
-            d = decision(s, u1, u2)
-            if d is none:
-                continue
-            y = u1 if d is left else u2
-            insert(y)
-            s = summary()  # every summary moves only when a member joins
-            if admitted is not None:
-                admitted.append(y)
-            if group.size >= next_ck:
-                record()
-                next_ck = _next_checkpoint(group.size)
+            # a step admits at most one member, so a chunk of `need` pairs
+            # cannot overshoot either limit and every draw in it is used;
+            # the exhausted iterator then frees its list before the next
+            # chunk is drawn
+            need = _CHUNK_PAIRS
+            if goal is not None:
+                need = min(need, goal - group.size)
+            if raw_budget is not None:
+                need = min(need, raw_budget - raw)
+            draws = iter(rng.uniform_block(2 * need).tolist())
+            for u1, u2 in zip(draws, draws):
+                if u2 < u1:
+                    u1, u2 = u2, u1
+                raw += 1
+                d = decision(s, u1, u2)
+                if d is none:
+                    continue
+                y = u1 if d is left else u2
+                insert(y)
+                s = summary()  # every summary moves only when a member joins
+                if admitted is not None:
+                    admitted.append(y)
+                if group.size >= next_ck:
+                    record()
+                    next_ck = _next_checkpoint(group.size)
 
     if checkpoints[-1].k != group.size:  # k strictly increasing per checkpoint
         record()

@@ -2,8 +2,8 @@
 
 Everything here is a measurement: KS distances against limit laws,
 member-density monitors over the group, frozen-summary Monte Carlo of
-single-step acceptance probabilities, empirical smoothness certification,
-the quantile-progress experiment, and the convergence-rate diagnostic.
+single-step acceptance probabilities, empirical smoothness certification
+and the quantile-progress experiment.
 Pass thresholds used by the acceptance suite are fixtures committed with
 the repo.
 """
@@ -296,22 +296,3 @@ def quantile_progress_test(rule: RuleSpec, ctx: OracleContext,
             passes += 1
         details.append((gained, gap0, gap1))
     return ProgressResult(passes / trials, trials, required, details)
-
-
-# -------------------------------------------------- convergence-rate fit
-
-def convergence_rate_fit(checkpoints: Sequence) -> tuple[float, float]:
-    """Fit log(steps) = log(C) + 1/gap over checkpoints with positive gap.
-
-    Returns (C, rms residual); a diagnostic for the exponential-time
-    convergence model, not a pass/fail criterion.
-    """
-    pts = [(c.steps, c.gap) for c in checkpoints
-           if c.gap is not None and c.gap > 0 and c.steps > 0]
-    if len(pts) < 10:
-        raise ValueError(f"need at least 10 usable checkpoints, have {len(pts)}")
-    x = np.array([1.0 / g for _, g in pts])
-    y = np.array([math.log(t) for t, _ in pts])
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    return math.exp(intercept), float(np.sqrt(np.mean(resid ** 2)))

@@ -127,6 +127,33 @@ def test_free_form_fields_validated(base, key, value):
     assert err.value.path == key
 
 
+@pytest.mark.parametrize("base, key", [(_GROW, "log_admitted"),
+                                       (_COMMITTEE, "consensus_checks")])
+@pytest.mark.parametrize("value", ["false", "no", 0, 1])
+def test_boolean_fields_take_only_json_booleans(base, key, value):
+    with pytest.raises(ConfigError) as err:
+        _parse(dict(base, **{key: value}))
+    assert err.value.path == key
+    assert getattr(_parse(dict(base, **{key: True})), key) is True
+    assert getattr(_parse(dict(base, **{key: False})), key) is False
+    assert getattr(_parse(base), key) is False
+
+
+@pytest.mark.parametrize("rule, key", [
+    ({"kind": "majority", "r": 0.3, "typo": 1}, "rule.r"),
+    ({"kind": "majority", "typo": 1}, "rule.typo"),
+    ({"kind": "consensus", "r": 0.3}, "rule.r"),
+    ({"kind": "veto", "r": 0.3, "p": 0.7}, "rule.p"),
+    ({"kind": "veto", "r": True}, "rule.r"),
+    ({"kind": "bogus", "r": 0.3}, "rule.kind"),
+    (["majority"], "rule"),
+])
+def test_rule_keys_checked(rule, key):
+    with pytest.raises(ConfigError) as err:
+        _parse(dict(_GROW, rule=rule))
+    assert err.value.path == key
+
+
 def test_oracle_point_outside_domain_names_grid():
     cfg = _parse({"kind": "oracle", "oracle": "tau", "grid": [0.75, 0.2]})
     with pytest.raises(ConfigError) as err:
@@ -354,6 +381,26 @@ def test_cli_replay_round_trip(tmp_path):
     rc = main(["replay", "--schedule", str(tmp_path / "schedule.json"),
                "--profile", str(prof)])
     assert rc == 0
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["grow", "--config", "{missing}"], "--config"),
+    (["sweep", "--config", "{missing}"], "--config"),
+    (["replay", "--schedule", "{file}", "--profile", "{missing}"],
+     "--profile"),
+    (["replay", "--schedule", "{missing}", "--profile", "{file}"],
+     "--schedule"),
+])
+def test_missing_input_file_is_a_config_error(argv, flag, tmp_path, capsys):
+    # a file that cannot be read exits 2 naming its option, not 1 with a
+    # traceback (1 is the status of a failed verdict)
+    prof = tmp_path / "profile.json"
+    prof.write_text(json.dumps({"profile": [1, 2, 3], "ell": 0}))
+    missing = tmp_path / "nope.json"
+    argv = [a.format(missing=missing, file=prof) for a in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(
+        f"admitlab: config error: {flag}: cannot read {missing}")
 
 
 _REPLAY_PROFILE = {"profile": ["-3", "-1/2", 0, 2, 5, 8, 13], "ell": 0}

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from admitlab.engine import Checkpoint, _next_checkpoint, draw_pair, run, step
+from admitlab.engine import (_CHUNK_PAIRS, Checkpoint, _next_checkpoint,
+                             draw_pair, run, step)
 from admitlab.group import GroupState
 from admitlab.oracles import accept_any_veto
 from admitlab.rng import Rng
@@ -296,6 +297,40 @@ def test_run_matches_step_loop(rule, initial, budget, seed):
     assert traj.admitted == ref_admitted
     assert traj.raw_steps == ref_raw
     assert traj.accepted == len(ref_admitted) > 0
+
+
+@pytest.mark.parametrize("rule, initial, legs", [
+    # longer than one buffer, ended by the target
+    (RuleSpec("majority"), [0.25], [{"accepted_target": _CHUNK_PAIRS + 7000}]),
+    # a budget ending exactly on a buffer boundary, and one step past it
+    (RuleSpec("consensus"), [0.5], [{"raw_budget": 2 * _CHUNK_PAIRS}]),
+    (RuleSpec("consensus"), [0.5], [{"raw_budget": 2 * _CHUNK_PAIRS + 1}]),
+    # veto with a target and a budget that binds first
+    (RuleSpec("veto", r=0.25), [1.0], [{"accepted_target": 40000,
+                                        "raw_budget": _CHUNK_PAIRS + 5000}]),
+    # three runs chained on one Rng, as criterion 05 chains them
+    (RuleSpec("consensus"), [0.5], [{"raw_budget": 1000},
+                                    {"raw_budget": 9000},
+                                    {"raw_budget": _CHUNK_PAIRS + 3}]),
+], ids=["majority-long", "budget-on-boundary", "budget-past-boundary",
+        "veto-budget-binds", "chained"])
+def test_buffered_draws_match_per_call_draws(rule, initial, legs):
+    # the buffered driver leaves every output and the stream itself exactly
+    # where a loop of per-call uniform() draws does
+    group, ref_group = GroupState(initial), GroupState(initial)
+    rng, ref_rng = Rng(5), Rng(5)
+    for leg in legs:
+        traj = run(group, rule, rng, log_admitted=True, **leg)
+        ref_cks, ref_admitted, ref_raw = _step_loop(ref_group, rule, ref_rng,
+                                                    **leg)
+        assert traj.checkpoints == ref_cks
+        assert traj.admitted == ref_admitted
+        assert traj.raw_steps == ref_raw
+        assert rng.state() == ref_rng.state()
+    if "raw_budget" in legs[-1]:
+        assert traj.raw_steps == legs[-1]["raw_budget"]
+    else:
+        assert traj.raw_steps > _CHUNK_PAIRS
 
 
 def test_outside_extreme_intervals_counts_hand_made_log():

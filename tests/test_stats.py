@@ -3,17 +3,14 @@
 import math
 import random
 
-import numpy as np
 import pytest
 
-from admitlab.engine import Checkpoint, run
 from admitlab.group import GroupState
 from admitlab.oracles import f_majority, majority_context, triangle_cdf
 from admitlab.rng import Rng
 from admitlab.rules import RuleSpec
 from admitlab.stats import (
     check_density_bounds,
-    convergence_rate_fit,
     default_delta,
     estimate_interval_accept_prob,
     ks_distance,
@@ -245,41 +242,3 @@ def test_progress_smoke_right_and_left():
     res_l = quantile_progress_test(rule, ctx, 0.1, 0.002, 3000, 20, Rng(18),
                                    side="left")
     assert res_l.pass_fraction >= 0.75
-
-
-# ------------------------------------------------------- convergence fit
-
-def test_convergence_fit_round_trip():
-    # integer step counts distort the smallest checkpoints slightly
-    cks = [Checkpoint(k=0, steps=round(7.0 * math.exp(1.0 / g)), q_p=None,
-                      gap=g, x1=0, xk=1)
-           for g in np.linspace(0.05, 0.5, 15)]
-    C, resid = convergence_rate_fit(cks)
-    assert C == pytest.approx(7.0, abs=0.05)
-    assert resid < 1e-2
-
-
-def test_convergence_fit_exact_floats():
-    # exact synthetic values (no rounding): C recovered to 1e-6
-    class P:
-        def __init__(self, steps, gap):
-            self.steps = steps
-            self.gap = gap
-
-    pts = [P(7.0 * math.exp(1.0 / g), g) for g in np.linspace(0.07, 0.4, 12)]
-    C, resid = convergence_rate_fit(pts)
-    assert C == pytest.approx(7.0, abs=1e-6)
-    assert resid < 1e-9
-
-
-def test_convergence_fit_needs_enough_points():
-    with pytest.raises(ValueError):
-        convergence_rate_fit([Checkpoint(1, 1, None, 0.1, 0, 1)] * 5)
-
-
-def test_convergence_fit_on_real_run():
-    g = GroupState([0.25])
-    traj = run(g, RuleSpec("majority"), Rng(19), accepted_target=30000, tau=0.5)
-    C, resid = convergence_rate_fit(traj.checkpoints)
-    assert math.isfinite(C) and C > 0
-    assert math.isfinite(resid)
