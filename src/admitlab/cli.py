@@ -6,7 +6,12 @@ byte-identically reproduces its outputs.  Only the randomized kinds, grow
 and committee, take a seed; `verify` runs the acceptance criteria
 registered in `experiments` on their own committed seeds.
 
-Subcommands: grow, committee, adversary, oracle, verify, sweep, replay.
+A kind's keys are the keys its parser reads: each kind has one parser, and
+a key it did not read (say `ell` for the removal construction, or `p` for an
+oracle that takes none) is a ConfigError that names it.
+
+Subcommands: grow, committee, adversary, oracle, verify, sweep, replay; each
+runs only configs of its own kind.
 """
 
 from __future__ import annotations
@@ -19,8 +24,9 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Optional
 
 from . import adversaries, oracles, stats
@@ -30,9 +36,6 @@ from .experiments import CRITERIA
 from .group import GroupState
 from .rng import Rng
 from .rules import RuleSpec
-
-_KINDS = ("grow", "committee", "adversary", "oracle", "verify", "sweep")
-
 
 class ConfigError(ValueError):
     """Schema violation, tagged with the offending key path."""
@@ -49,48 +52,22 @@ def _fmt(x) -> str:
     return str(x)
 
 
-@dataclass
-class ExperimentConfig:
-    kind: str
-    seed: Optional[int]
-    rule: Optional[RuleSpec] = None
-    initial: Optional[list] = None
-    accepted: Optional[int] = None
-    raw_budget: Optional[int] = None
-    mode: str = "steps"
-    log_admitted: bool = False
-    extra_quantiles: tuple = ()
-    assert_final_gap_below: Optional[float] = None
-    # committee / adversary experiments
-    n: Optional[int] = None
-    ell: Optional[int] = None
-    k: Optional[int] = None
-    steps: Optional[int] = None
-    construction: Optional[str] = None
-    consensus_checks: bool = False
-    target_displacement: Optional[Fraction] = None
-    d: Optional[Fraction] = None
-    D: Optional[Fraction] = None
-    # oracle evaluation
-    oracle: Optional[str] = None
-    grid: Optional[list] = None
-    p: Optional[float] = None
-    # verify
-    suite: Optional[str] = None
-    raw: dict = field(default_factory=dict)
+class ExperimentConfig(SimpleNamespace):
+    """kind, seed, raw (the document) and the values its parser returned."""
 
 
-_SCHEMA = {
-    "grow": {"kind", "seed", "rule", "initial", "accepted", "raw_budget",
-             "mode", "log_admitted", "extra_quantiles",
-             "assert_final_gap_below"},
-    "committee": {"kind", "seed", "n", "ell", "steps", "consensus_checks"},
-    "adversary": {"kind", "construction", "n", "k", "ell",
-                  "target_displacement", "d", "D", "initial"},
-    "oracle": {"kind", "oracle", "grid", "p"},
-    "verify": {"kind", "suite"},
-    "sweep": {"kind", "base", "axis", "seeds"},
-}
+class _Doc(dict):
+    """A config document that records each key read through `get`."""
+
+    def __init__(self, doc: dict):
+        super().__init__(doc)
+        self.read = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
 # the kinds whose runs draw random numbers; no other kind takes a seed
 _SEEDED = ("grow", "committee")
 
@@ -107,128 +84,53 @@ def _json_object(text: str) -> dict:
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Validate a JSON config document; unknown keys are rejected."""
-    doc = _json_object(text)
-    kind = doc.get("kind")
-    if kind not in _KINDS:
-        raise ConfigError("kind", f"must be one of {_KINDS}, got {kind!r}")
-    allowed = _SCHEMA[kind]
-    for key in doc:
-        if key not in allowed:
-            raise ConfigError(key, f"{kind} runs take no seed"
-                              if key == "seed" else "unknown key")
-    seed = _int_field(doc, "seed", required=kind in _SEEDED)
-    cfg = ExperimentConfig(kind=kind, seed=seed, raw=doc)
+    """Validate a JSON config document with its kind's parser.  A key the
+    parser did not read is rejected, the first in sorted order named."""
+    doc = _Doc(_json_object(text))
+    kind = _choice(doc, "kind", _KINDS)
+    seed = _int_field(doc, "seed", required=True) if kind in _SEEDED else None
+    values = _KINDS[kind][0](doc)
+    key = min(doc.keys() - doc.read, default=None)
+    if key is not None:
+        raise ConfigError(key, f"{kind} runs take no seed" if key == "seed"
+                          else "not a key this run reads")
+    return ExperimentConfig(kind=kind, seed=seed, raw=dict(doc), **values)
 
-    if kind == "grow":
-        cfg.rule = _parse_rule(doc.get("rule"))
-        cfg.initial = _parse_initial(doc.get("initial"), cfg.rule)
-        cfg.accepted = _int_field(doc, "accepted", minimum=1)
-        cfg.raw_budget = _int_field(doc, "raw_budget", minimum=1)
-        if cfg.accepted is None and cfg.raw_budget is None:
-            raise ConfigError("accepted", "need accepted or raw_budget")
-        cfg.mode = doc.get("mode", "steps")
-        if cfg.mode not in ("steps", "jump"):
-            raise ConfigError("mode", f"must be steps or jump, got {cfg.mode!r}")
-        if cfg.mode == "jump" and cfg.rule.kind != "veto":
-            raise ConfigError("mode", "jump mode is veto-only")
-        cfg.log_admitted = _bool_field(doc, "log_admitted")
-        extra = doc.get("extra_quantiles", [])
-        if not isinstance(extra, list):
-            raise ConfigError("extra_quantiles", "must be a list")
-        for q in extra:
-            if not _is_number(q) or not 0.0 <= q <= 1.0:
-                raise ConfigError("extra_quantiles", f"{q!r} outside [0, 1]")
-        cfg.extra_quantiles = tuple(extra)
-        gap_bound = doc.get("assert_final_gap_below")
-        if gap_bound is not None:
-            if not _is_number(gap_bound) or not gap_bound > 0:
-                raise ConfigError("assert_final_gap_below",
-                                  "must be a positive number")
-            if cfg.rule.kind == "consensus":
-                raise ConfigError("assert_final_gap_below",
-                                  "consensus has no fixed-point gap")
-            cfg.assert_final_gap_below = float(gap_bound)
-    elif kind == "committee":
-        cfg.n = _int_field(doc, "n", minimum=3, required=True)
-        cfg.ell = _int_field(doc, "ell", minimum=0, required=True)
-        cfg.steps = _int_field(doc, "steps", minimum=1, default=1000)
-        cfg.consensus_checks = _bool_field(doc, "consensus_checks")
-        if cfg.n % 2 == 0:
-            # drift/potential monitors are stated for odd sizes only
-            raise ConfigError("n", "monitored committee runs require odd n")
-        if cfg.ell > (cfg.n - 1) // 2:
-            raise ConfigError("ell", f"at most (n-1)/2 = {(cfg.n - 1) // 2}")
-    elif kind == "adversary":
-        cfg.construction = doc.get("construction")
-        if cfg.construction not in ("drift", "tightness", "immunity", "removal"):
-            raise ConfigError("construction",
-                              "one of drift|tightness|immunity|removal")
-        cfg.n = _int_field(doc, "n", minimum=3)
-        cfg.k = _int_field(doc, "k", minimum=1,
-                           required=cfg.construction != "drift")
-        cfg.ell = _int_field(doc, "ell", minimum=1,
-                             required=cfg.construction in ("tightness",
-                                                           "immunity"))
-        cfg.target_displacement = _rational_field(doc, "target_displacement")
-        cfg.d = _rational_field(doc, "d")
-        cfg.D = _rational_field(doc, "D")
-        initial = doc.get("initial")
-        if initial is not None:
-            if not isinstance(initial, list) or not initial:
-                raise ConfigError("initial", "must be a non-empty list")
-            cfg.initial = [_rational(v, "initial") for v in initial]
-    elif kind == "oracle":
-        cfg.oracle = doc.get("oracle")
-        if cfg.oracle not in _ORACLES:
-            raise ConfigError("oracle", f"unknown oracle {cfg.oracle!r}")
-        cfg.grid = doc.get("grid")
-        if not isinstance(cfg.grid, list) or not cfg.grid or \
-                not all(_is_number(x) for x in cfg.grid):
-            raise ConfigError("grid", "non-empty list of evaluation points")
-        cfg.p = doc.get("p")
-        if cfg.p is not None and not (_is_number(cfg.p) and 0.5 < cfg.p < 1.0):
-            raise ConfigError("p", f"must be in (1/2, 1), got {cfg.p!r}")
-        if cfg.p is None and cfg.oracle == "truncated_triangle_cdf":
-            raise ConfigError("p", f"{cfg.oracle} needs the veto quantile p")
-    elif kind == "verify":
-        cfg.suite = doc.get("suite", "quick")
-        if cfg.suite not in VERIFY_SUITES:
-            raise ConfigError("suite",
-                              f"unknown suite; pick from {sorted(VERIFY_SUITES)}")
-    elif kind == "sweep":
-        base = doc.get("base")
-        if not isinstance(base, dict):
-            raise ConfigError("base", "sweep needs a base config object")
-        if base.get("kind") not in _SEEDED:
-            raise ConfigError("base.kind",
-                              f"a sweep runs a seeded kind {_SEEDED}, "
-                              f"got {base.get('kind')!r}")
-        axis = doc.get("axis")
-        if not isinstance(axis, dict) or len(axis) != 1:
-            raise ConfigError("axis", "exactly one {key: [values]} pair")
-        seeds = doc.get("seeds")
-        if not isinstance(seeds, list) or not seeds or not all(
-                isinstance(v, int) and not isinstance(v, bool) for v in seeds):
-            raise ConfigError("seeds", "non-empty list of integer seeds")
-    return cfg
+
+def _choice(doc: dict, key: str, options, default=None) -> str:
+    """doc[key], which must be one of the names in `options`."""
+    value = doc.get(key, default)
+    if not isinstance(value, str) or value not in options:
+        raise ConfigError(key, f"must be one of {sorted(options)}, "
+                               f"got {value!r}")
+    return value
 
 
 def _int_field(doc: dict, key: str, minimum: Optional[int] = None,
-               required: bool = False, default: Optional[int] = None):
-    """doc[key] as an integer, or `default` when the key is absent.
+               maximum: Optional[int] = None, required: bool = False,
+               default: Optional[int] = None):
+    """doc[key] as an integer in [minimum, maximum], or `default` when the
+    key is absent or null.
 
     JSON true/false are rejected although bool is an int subclass."""
-    value = doc.get(key, default)
+    value = doc.get(key)
     if value is None:
         if required:
             raise ConfigError(key, "a mandatory integer")
-        return None
+        return default
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(key, f"must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(key, f"must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(key, f"must be <= {maximum}, got {value}")
     return value
+
+
+def _ell_field(doc: dict, n: int) -> int:
+    """doc["ell"] for a committee of n members: 0 <= ell <= (n-1)/2."""
+    return _int_field(doc, "ell", minimum=0, maximum=(n - 1) // 2,
+                      required=True)
 
 
 def _bool_field(doc: dict, key: str) -> bool:
@@ -267,10 +169,43 @@ def _rational(value, key: str):
     return x
 
 
-def _rational_field(doc: dict, key: str):
-    """doc[key] through `_rational`, or None when the key is absent."""
+def _rational_field(doc: dict, key: str, default):
+    """doc[key] through `_rational`, or `default` when the key is absent."""
     value = doc.get(key)
-    return None if value is None else _rational(value, key)
+    return default if value is None else _rational(value, key)
+
+
+# ------------------------------------------------------- one parser per kind
+
+def _grow(doc: dict) -> dict:
+    rule = _parse_rule(doc.get("rule"))
+    mode = _choice(doc, "mode", ("steps", "jump"), default="steps")
+    if mode == "jump" and rule.kind != "veto":
+        raise ConfigError("mode", "jump mode is veto-only")
+    accepted = _int_field(doc, "accepted", minimum=1)
+    raw_budget = _int_field(doc, "raw_budget", minimum=1)
+    if accepted is None and raw_budget is None:
+        raise ConfigError("accepted", "need accepted or raw_budget")
+    extra = doc.get("extra_quantiles", [])
+    if not isinstance(extra, list):
+        raise ConfigError("extra_quantiles", "must be a list")
+    for q in extra:
+        if not _is_number(q) or not 0.0 <= q <= 1.0:
+            raise ConfigError("extra_quantiles", f"{q!r} outside [0, 1]")
+    gap_bound = doc.get("assert_final_gap_below")
+    if gap_bound is not None:
+        if not _is_number(gap_bound) or not gap_bound > 0:
+            raise ConfigError("assert_final_gap_below",
+                              "must be a positive number")
+        if rule.kind == "consensus":
+            raise ConfigError("assert_final_gap_below",
+                              "consensus has no fixed-point gap")
+        gap_bound = float(gap_bound)
+    return {"rule": rule, "initial": _parse_initial(doc.get("initial"), rule),
+            "accepted": accepted, "raw_budget": raw_budget, "mode": mode,
+            "log_admitted": _bool_field(doc, "log_admitted"),
+            "extra_quantiles": tuple(extra),
+            "assert_final_gap_below": gap_bound}
 
 
 def _parse_rule(node) -> RuleSpec:
@@ -308,6 +243,91 @@ def _parse_initial(node, rule: RuleSpec) -> list:
     return [float(v) for v in node]
 
 
+def _committee(doc: dict) -> dict:
+    n = _int_field(doc, "n", minimum=3, required=True)
+    if n % 2 == 0:
+        # drift/potential monitors are stated for odd sizes only
+        raise ConfigError("n", "monitored committee runs require odd n")
+    return {"n": n, "ell": _ell_field(doc, n),
+            "steps": _int_field(doc, "steps", minimum=1, default=1000),
+            "consensus_checks": _bool_field(doc, "consensus_checks")}
+
+
+def _adversary(doc: dict) -> dict:
+    """Each construction reads its own keys: drift `initial` (else `n`) and
+    `target_displacement`; removal `k`; tightness `k` and `ell`; immunity
+    `k`, `ell`, `d` and `D`."""
+    c = _choice(doc, "construction",
+                ("drift", "tightness", "immunity", "removal"))
+    if c == "drift":
+        return {"construction": c, "initial": _drift_profile(doc),
+                "target_displacement":
+                _rational_field(doc, "target_displacement", 100)}
+    k = _int_field(doc, "k", minimum=1, required=True)
+    if c == "removal":
+        return {"construction": c, "k": k}
+    ell = _int_field(doc, "ell", minimum=1, maximum=k, required=True)
+    if c == "tightness":
+        return {"construction": c, "k": k, "ell": ell}
+    return {"construction": c, "k": k, "ell": ell,
+            "d": _rational_field(doc, "d", 1),
+            "D": _rational_field(doc, "D", 1)}
+
+
+def _drift_profile(doc: dict) -> list:
+    """The drift committee: the opinions in `initial`, else 1..n (n = 7 when
+    absent); an odd number (>= 3) of distinct values either way."""
+    initial = doc.get("initial")
+    if initial is None:
+        key, values = "n", list(range(1, _int_field(doc, "n", default=7) + 1))
+    elif not isinstance(initial, list):
+        raise ConfigError("initial", "must be a list")
+    else:
+        key, values = "initial", [_rational(v, "initial") for v in initial]
+    if len(values) < 3 or len(values) % 2 == 0 or \
+            len(set(values)) != len(values):
+        raise ConfigError(key, "an odd number (>= 3) of distinct opinions")
+    return values
+
+
+def _oracle(doc: dict) -> dict:
+    name = _choice(doc, "oracle", _ORACLES)
+    grid = doc.get("grid")
+    if not isinstance(grid, list) or not grid or \
+            not all(_is_number(x) for x in grid):
+        raise ConfigError("grid", "non-empty list of evaluation points")
+    takes_p = _ORACLES[name][1]
+    p = doc.get("p") if takes_p else None
+    if p is None and takes_p == "required":
+        raise ConfigError("p", f"{name} needs the veto quantile p")
+    if p is not None and not (_is_number(p) and 0.5 < p < 1.0):
+        raise ConfigError("p", f"must be in (1/2, 1), got {p!r}")
+    return {"oracle": name, "grid": grid, "p": p}
+
+
+def _verify(doc: dict) -> dict:
+    return {"suite": _choice(doc, "suite", VERIFY_SUITES, default="quick")}
+
+
+def _sweep(doc: dict) -> dict:
+    base = doc.get("base")
+    if not isinstance(base, dict):
+        raise ConfigError("base", "sweep needs a base config object")
+    if base.get("kind") not in _SEEDED:
+        raise ConfigError("base.kind",
+                          f"a sweep runs a seeded kind {_SEEDED}, "
+                          f"got {base.get('kind')!r}")
+    axis = doc.get("axis")
+    if not isinstance(axis, dict) or len(axis) != 1 or \
+            not isinstance(next(iter(axis.values())), list):
+        raise ConfigError("axis", "exactly one {key: [values]} pair")
+    seeds = doc.get("seeds")
+    if not isinstance(seeds, list) or not seeds or not all(
+            isinstance(v, int) and not isinstance(v, bool) for v in seeds):
+        raise ConfigError("seeds", "non-empty list of integer seeds")
+    return {"base": base, "axis": axis, "seeds": seeds}
+
+
 # ------------------------------------------------------------- run records
 
 @dataclass
@@ -327,24 +347,22 @@ class RunRecord:
         return all(self.verdicts.values())
 
 
-def _config_hash(doc: dict) -> str:
-    blob = json.dumps(doc, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
-
-
 def run_experiment(cfg: ExperimentConfig) -> RunRecord:
-    runner = {"grow": _run_grow, "committee": _run_committee,
-              "adversary": _run_adversary, "oracle": _run_oracle,
-              "verify": _run_verify}.get(cfg.kind)
+    """Run a parsed config; each runner returns (verdicts, summary[,
+    trajectory, schedule])."""
+    runner = _KINDS[cfg.kind][1]
     if runner is None:
         raise ConfigError("kind", f"cannot run {cfg.kind!r} directly")
     t0 = time.perf_counter()
-    record = runner(cfg)
-    record.wall_clock = time.perf_counter() - t0
-    return record
+    out = runner(cfg)
+    wall_clock = time.perf_counter() - t0
+    config_hash = hashlib.sha256(
+        json.dumps(cfg.raw, sort_keys=True).encode()).hexdigest()[:16]
+    return RunRecord(cfg.raw, cfg.seed, config_hash, cfg.kind, wall_clock,
+                     *out)
 
 
-def _run_grow(cfg: ExperimentConfig) -> RunRecord:
+def _run_grow(cfg: ExperimentConfig):
     group = GroupState(cfg.initial)
     rule = cfg.rule
     tau = None
@@ -363,101 +381,83 @@ def _run_grow(cfg: ExperimentConfig) -> RunRecord:
     if cfg.assert_final_gap_below is not None:
         verdicts["final_gap_below"] = (last.gap is not None and
                                        last.gap <= cfg.assert_final_gap_below)
-    summary = {
-        "k": last.k,
-        "raw_steps": traj.raw_steps,
-        "accepted": traj.accepted,
-        "final_q_p": last.q_p,
-        "final_gap": last.gap,
-        "x1": last.x1,
-        "xk": last.xk,
-        "tau": tau,
-    }
+    summary = {"k": last.k, "raw_steps": traj.raw_steps,
+               "accepted": traj.accepted, "final_q_p": last.q_p,
+               "final_gap": last.gap, "x1": last.x1, "xk": last.xk, "tau": tau}
     if cfg.log_admitted and traj.admitted:
         half = traj.admitted[len(traj.admitted) // 2:]
         if rule.kind == "majority":
             summary["ks_triangle_second_half"] = stats.ks_distance(
                 half, oracles.triangle_cdf)
-    return RunRecord(cfg.raw, cfg.seed, _config_hash(cfg.raw), "grow",
-                     0.0, verdicts, summary, trajectory=traj)
+    return verdicts, summary, traj
 
 
-def _run_committee(cfg: ExperimentConfig) -> RunRecord:
+def _run_committee(cfg: ExperimentConfig):
     rep = adversaries.committee_fuzz(cfg.n, cfg.ell, cfg.steps, Rng(cfg.seed),
                                      consensus_checks=cfg.consensus_checks)
-    return RunRecord(cfg.raw, cfg.seed, _config_hash(cfg.raw), "committee",
-                     0.0, {"invariants_clean": rep.clean}, asdict(rep))
+    return {"invariants_clean": rep.clean}, asdict(rep)
 
 
-def _run_adversary(cfg: ExperimentConfig) -> RunRecord:
+def _run_adversary(cfg: ExperimentConfig):
     c = cfg.construction
-    verdicts: dict = {}
-    summary: dict = {}
-    schedule = None
     if c == "drift":
-        committee = Committee(cfg.initial or list(range(1, (cfg.n or 7) + 1)),
-                              ell=0)
-        target = Fraction(cfg.target_displacement or 100) * committee.diameter
+        committee = Committee(cfg.initial, ell=0)
+        target = Fraction(cfg.target_displacement) * committee.diameter
         schedule = adversaries.arithmetic_drift_schedule(committee, target)
         res = adversaries.replay(committee, schedule)
         moved = res.committee.median() - committee.median()
-        verdicts["all_steps_legal"] = res.accepted_all
-        verdicts["median_moved_past_target"] = moved >= target
-        summary = {"steps": len(schedule.steps), "median_displacement": str(moved)}
-    elif c == "tightness":
+        return ({"all_steps_legal": res.accepted_all,
+                 "median_moved_past_target": moved >= target},
+                {"steps": len(schedule.steps),
+                 "median_displacement": str(moved)}, None, schedule)
+    if c == "tightness":
         tr = adversaries.geometric_tightness_run(cfg.k, cfg.ell)
-        schedule = tr.schedule
-        verdicts["all_steps_legal"] = True  # construction raises otherwise
-        verdicts["within_drift_bound"] = 0 < tr.bound_ratio <= 1
-        summary = {"delta": tr.delta, "bound_ratio": float(tr.bound_ratio),
-                   "steps": len(tr.schedule.steps)}
-    elif c == "immunity":
-        com = adversaries.immunity_config(cfg.k, cfg.ell,
-                                          cfg.d or 1, cfg.D or 1)
+        # all_steps_legal: the construction raises otherwise
+        return ({"all_steps_legal": True,
+                 "within_drift_bound": 0 < tr.bound_ratio <= 1},
+                {"delta": tr.delta, "bound_ratio": float(tr.bound_ratio),
+                 "steps": len(tr.schedule.steps)}, None, tr.schedule)
+    if c == "immunity":
+        com = adversaries.immunity_config(cfg.k, cfg.ell, cfg.d, cfg.D)
         ok, votes, _ = adversaries.one_step_irreplaceable(com, 2 * cfg.k + 2)
-        verdicts["median_irreplaceable"] = ok
-        summary = {"n": com.n, "threshold": com.threshold, "max_votes": votes}
-    elif c == "removal":
-        k = cfg.k
-        n = 4 * k + 3
-        committee = Committee(list(range(1, n + 1)), ell=k + 1)  # 3k+2 votes
-        schedule = adversaries.removal_schedule(committee)
-        res = adversaries.replay(committee, schedule, require_votes=3 * k + 2)
-        survivors = set(committee.ids) & set(res.committee.ids)
-        verdicts["all_steps_legal"] = res.accepted_all
-        verdicts["all_original_ids_removed"] = not survivors
-        summary = {"steps": len(schedule.steps),
-                   "survivors": sorted(survivors)}
-    return RunRecord(cfg.raw, cfg.seed, _config_hash(cfg.raw), "adversary",
-                     0.0, verdicts, summary, schedule=schedule)
+        return ({"median_irreplaceable": ok},
+                {"n": com.n, "threshold": com.threshold, "max_votes": votes})
+    k = cfg.k  # removal
+    n = 4 * k + 3
+    committee = Committee(list(range(1, n + 1)), ell=k + 1)  # 3k+2 votes
+    schedule = adversaries.removal_schedule(committee)
+    res = adversaries.replay(committee, schedule, require_votes=3 * k + 2)
+    survivors = set(committee.ids) & set(res.committee.ids)
+    return ({"all_steps_legal": res.accepted_all,
+             "all_original_ids_removed": not survivors},
+            {"steps": len(schedule.steps), "survivors": sorted(survivors)},
+            None, schedule)
 
 
-_ORACLES = {
-    "f_majority": lambda x, p: oracles.f_majority(x),
-    "accept_any_veto": lambda x, p: oracles.accept_any_veto(x),
-    "f_veto": lambda x, p: oracles.f_veto(x),
-    "tau": lambda x, p: oracles.tau(x),
-    "triangle_cdf": lambda x, p: oracles.triangle_cdf(x),
-    "triangle_pdf": lambda x, p: oracles.triangle_pdf(x),
-    "truncated_triangle_cdf": lambda x, p: oracles.truncated_triangle_cdf(
-        x, oracles.tau(p)),
-    "phi1_bound": lambda x, p: oracles.phi1_bound(x),
-    "g_r": lambda x, p: oracles.gap_functions(
-        oracles.veto_context(p) if p else oracles.majority_context(), x).g_r,
-    "g_l": lambda x, p: oracles.gap_functions(
-        oracles.veto_context(p) if p else oracles.majority_context(), x).g_l,
-}
+def _gap_functions(x, p):
+    ctx = oracles.veto_context(p) if p else oracles.majority_context()
+    return oracles.gap_functions(ctx, x)
 
 
-def _run_oracle(cfg: ExperimentConfig) -> RunRecord:
-    fn = _ORACLES[cfg.oracle]
+# oracle -> (its value at x given p, whether it reads p: "required",
+# "optional" or None, which rejects a p)
+_ORACLES = {name: (lambda x, p, f=getattr(oracles, name): f(x), None)
+            for name in ("f_majority", "accept_any_veto", "f_veto", "tau",
+                         "triangle_cdf", "triangle_pdf", "phi1_bound")}
+_ORACLES.update({
+    "truncated_triangle_cdf": (lambda x, p: oracles.truncated_triangle_cdf(
+        x, oracles.tau(p)), "required"),
+    "g_r": (lambda x, p: _gap_functions(x, p).g_r, "optional"),
+    "g_l": (lambda x, p: _gap_functions(x, p).g_l, "optional")})
+
+
+def _run_oracle(cfg: ExperimentConfig):
+    fn = _ORACLES[cfg.oracle][0]
     try:
-        rows = [(x, fn(x, cfg.p)) for x in cfg.grid]
+        rows = [[x, fn(x, cfg.p)] for x in cfg.grid]
     except ValueError as e:  # p is checked at parse; the point left its domain
         raise ConfigError("grid", str(e)) from None
-    summary = {"oracle": cfg.oracle, "rows": [[x, v] for x, v in rows]}
-    return RunRecord(cfg.raw, cfg.seed, _config_hash(cfg.raw), "oracle",
-                     0.0, {"evaluated": True}, summary)
+    return {"evaluated": True}, {"oracle": cfg.oracle, "rows": rows}
 
 
 # ------------------------------------------------------------ verify suites
@@ -467,7 +467,7 @@ VERIFY_SUITES = {c.suite: (c,) for c in CRITERIA}
 VERIFY_SUITES["quick"] = tuple(c for c in CRITERIA if c.num in (1, 2))
 
 
-def _run_verify(cfg: ExperimentConfig) -> RunRecord:
+def _run_verify(cfg: ExperimentConfig):
     verdicts = {}
     results = {}
     for criterion in VERIFY_SUITES[cfg.suite]:
@@ -475,8 +475,16 @@ def _run_verify(cfg: ExperimentConfig) -> RunRecord:
         verdicts[criterion.suite] = v.passed
         results[criterion.suite] = {"name": v.name, "detail": v.detail,
                                     "checked": v.checked}
-    return RunRecord(cfg.raw, cfg.seed, _config_hash(cfg.raw), "verify",
-                     0.0, verdicts, results)
+    return verdicts, results
+
+
+# each kind's parser, whose reads are its schema, and its runner; a sweep
+# runs through `sweep`
+_KINDS = {"grow": (_grow, _run_grow),
+          "committee": (_committee, _run_committee),
+          "adversary": (_adversary, _run_adversary),
+          "oracle": (_oracle, _run_oracle), "verify": (_verify, _run_verify),
+          "sweep": (_sweep, None)}
 
 
 # ------------------------------------------------------------------- output
@@ -582,13 +590,12 @@ def sweep(base_doc: dict, axis: dict, seeds: list) -> dict:
 
     by_axis: dict = {}
     for r in results:
-        by_axis.setdefault(r["axis"], []).append(r)
+        by_axis.setdefault(r["axis"], []).append(r["passed"])
     return {
         "cells": results,
         "pass_fraction": (sum(r["passed"] for r in results) / len(results)
                           if results else 1.0),
-        "per_axis_pass": {str(k): sum(r["passed"] for r in v) / len(v)
-                          for k, v in by_axis.items()},
+        "per_axis_pass": {str(k): sum(v) / len(v) for k, v in by_axis.items()},
     }
 
 
@@ -606,6 +613,8 @@ def _set_path(doc: dict, dotted: str, value) -> None:
     *parents, last = dotted.split(".")
     for p in parents:
         doc = doc.setdefault(p, {})
+        if not isinstance(doc, dict):
+            raise ConfigError("axis", f"{dotted}: {p} is not an object")
     doc[last] = value
 
 
@@ -617,19 +626,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description="growing-group and fixed-size committee admission lab")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(name):
+    for name in _KINDS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="path to a JSON config")
         if name in _SEEDED:
             p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", help="output directory")
-        return p
-
-    for name in ("grow", "committee", "adversary", "oracle", "sweep"):
-        common(name)
-    v = common("verify")
-    v.add_argument("--suite", help="criterion-NN, or quick for 01 and 02",
-                   choices=sorted(VERIFY_SUITES))
+        if name == "verify":
+            p.add_argument("--suite", choices=sorted(VERIFY_SUITES),
+                           help="criterion-NN, or quick for 01 and 02")
     rp = sub.add_parser("replay")
     rp.add_argument("--schedule", required=True, help="schedule.json to replay")
     rp.add_argument("--profile", required=True,
@@ -647,15 +652,15 @@ def _read_json(path: str, flag: str) -> dict:
 
 
 def _load_config(args, kind: str) -> ExperimentConfig:
-    if args.config:
-        doc = _read_json(args.config, "--config")
-    else:
-        doc = {"kind": kind}
+    """The --config document, which must be of the subcommand's kind."""
+    doc = _read_json(args.config, "--config") if args.config else {}
+    if doc.setdefault("kind", kind) != kind:
+        raise ConfigError("kind", f"the {kind} subcommand runs {kind} "
+                                  f"configs, got {doc['kind']!r}")
     if getattr(args, "seed", None) is not None:
         doc["seed"] = args.seed
     if kind == "verify" and getattr(args, "suite", None):
         doc["suite"] = args.suite
-    doc.setdefault("kind", kind)
     return parse_config(json.dumps(doc))
 
 
@@ -676,10 +681,7 @@ def _parse_profile(doc: dict) -> Committee:
     if not isinstance(profile, list) or not profile:
         raise ConfigError("profile", "must be a non-empty list")
     values = [_exact(v, "profile") for v in profile]
-    ell = _int_field(doc, "ell", minimum=0, required=True)
-    if ell > (len(values) - 1) // 2:
-        raise ConfigError("ell", f"at most (n-1)/2 = {(len(values) - 1) // 2}")
-    return Committee(values, ell)
+    return Committee(values, _ell_field(doc, len(values)))
 
 
 def _parse_schedule(doc: dict, n: int) -> adversaries.ReplacementSchedule:
@@ -711,9 +713,9 @@ def _dispatch(args) -> int:
                           res.committee.to_json_profile()}, indent=1))
         return 0 if res.accepted_all else 1
 
+    cfg = _load_config(args, cmd)
     if cmd == "sweep":
-        doc = _load_config(args, cmd).raw  # validates shape
-        report = sweep(doc["base"], doc["axis"], doc["seeds"])
+        report = sweep(cfg.base, cfg.axis, cfg.seeds)
         out = json.dumps(_jsonable(report), indent=1, default=_fmt)
         if args.out:
             os.makedirs(args.out, exist_ok=True)
@@ -721,11 +723,9 @@ def _dispatch(args) -> int:
         else:
             print(out)
         return 0 if report["pass_fraction"] == 1.0 else 1
-
-    cfg = _load_config(args, cmd)
     record = run_experiment(cfg)
     if args.out:
-        emit_outputs(record, args.out, cfg.extra_quantiles)
+        emit_outputs(record, args.out, getattr(cfg, "extra_quantiles", ()))
     else:
         print(json.dumps({"verdicts": record.verdicts,
                           "summary": _jsonable(record.summary)},

@@ -13,18 +13,17 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 
-_DEFAULT_BUCKETS = 4096
+_NBUCKETS = 4096
 
 
 class GroupState:
     """Multiset of opinions in [0, 1] with logarithmic rank/select/quantile."""
 
-    __slots__ = ("_nb", "_tree", "_buckets", "_size", "_min", "_max")
+    __slots__ = ("_tree", "_buckets", "_size", "_min", "_max")
 
-    def __init__(self, values=(), nbuckets: int = _DEFAULT_BUCKETS):
-        self._nb = nbuckets
-        self._tree = [0] * (nbuckets + 1)
-        self._buckets: list[list[float]] = [[] for _ in range(nbuckets)]
+    def __init__(self, values=()):
+        self._tree = [0] * (_NBUCKETS + 1)
+        self._buckets: list[list[float]] = [[] for _ in range(_NBUCKETS)]
         self._size = 0
         self._min = None
         self._max = None
@@ -42,7 +41,7 @@ class GroupState:
         """Add one opinion; duplicates are kept."""
         if not 0.0 <= x <= 1.0:
             raise ValueError(f"opinion {x!r} outside [0, 1]")
-        nb = self._nb
+        nb = _NBUCKETS
         b = int(x * nb)
         if b >= nb:
             b = nb - 1
@@ -63,7 +62,7 @@ class GroupState:
         if not 1 <= rank <= self._size:
             raise IndexError(f"rank {rank} out of range 1..{self._size}")
         tree = self._tree
-        nb = self._nb
+        nb = _NBUCKETS
         idx = 0
         mask = 1 << (nb.bit_length() - 1)
         rem = rank
@@ -86,7 +85,7 @@ class GroupState:
 
     def count_lt(self, x: float) -> int:
         """Members strictly below x."""
-        nb = self._nb
+        nb = _NBUCKETS
         b = int(x * nb)
         if b >= nb:
             b = nb - 1
@@ -96,7 +95,7 @@ class GroupState:
 
     def count_le(self, x: float) -> int:
         """Members at or below x."""
-        nb = self._nb
+        nb = _NBUCKETS
         b = int(x * nb)
         if b >= nb:
             b = nb - 1

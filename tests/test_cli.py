@@ -54,6 +54,8 @@ def test_unknown_keys_rejected():
 _GROW = {"kind": "grow", "rule": "majority", "accepted": 10, "seed": 1}
 _COMMITTEE = {"kind": "committee", "n": 7, "ell": 1, "steps": 10, "seed": 1}
 _REMOVAL = {"kind": "adversary", "construction": "removal", "k": 1}
+_TIGHTNESS = {"kind": "adversary", "construction": "tightness", "k": 3,
+              "ell": 2}
 
 
 @pytest.mark.parametrize("base, key, value", [
@@ -72,6 +74,11 @@ _REMOVAL = {"kind": "adversary", "construction": "removal", "k": 1}
     (_REMOVAL, "k", True),
     ({"kind": "adversary", "construction": "tightness", "k": 3},
      "ell", None),
+    # drift needs an odd number of opinions; tightness and immunity 1<=ell<=k
+    ({"kind": "adversary", "construction": "drift", "n": 7}, "n", 8),
+    (_TIGHTNESS, "ell", 4),
+    ({"kind": "adversary", "construction": "immunity", "k": 1, "ell": 1},
+     "ell", 2),
 ])
 def test_integer_fields_validated(base, key, value):
     doc = dict(base)
@@ -88,6 +95,20 @@ _IMMUNITY = {"kind": "adversary", "construction": "immunity", "k": 1,
              "ell": 1}
 _DRIFT = {"kind": "adversary", "construction": "drift", "n": 7}
 _ORACLE = {"kind": "oracle", "oracle": "g_r", "grid": [0.01]}
+
+
+# construction -> keys it does not read, each given a value that some
+# other construction would accept
+_NOT_READ = {
+    "drift": (_DRIFT, ("k", "ell", "d", "D")),
+    "tightness": (_TIGHTNESS, ("n", "target_displacement", "d", "D",
+                               "initial")),
+    "immunity": (_IMMUNITY, ("n", "target_displacement", "initial")),
+    "removal": (_REMOVAL, ("n", "ell", "target_displacement", "d", "D",
+                           "initial")),
+}
+_READABLE = {"n": 7, "k": 1, "ell": 1, "target_displacement": 5, "d": 1,
+             "D": "1/2", "initial": [1, 2, 3], "p": 0.75}
 
 
 @pytest.mark.parametrize("base, key, value", [
@@ -115,7 +136,24 @@ _ORACLE = {"kind": "oracle", "oracle": "g_r", "grid": [0.01]}
     (_GROW, "extra_quantiles", 0.5),
     (_GROW, "initial", [True]),
     (_GROW, "assert_final_gap_below", True),
-])
+    # drift needs an odd number (>= 3) of distinct opinions
+    (_DRIFT, "initial", [1, 2, 3, 4]),
+    (_DRIFT, "initial", [1, "2/1", 2]),
+    (_DRIFT, "initial", [5]),
+    # ill-shaped values, not only out-of-range ones
+    (_ORACLE, "oracle", ["tau"]),
+    ({"kind": "verify"}, "suite", [1]),
+    ({"kind": "sweep", "base": _GROW, "seeds": [1]}, "axis", {"accepted": 5}),
+] + [
+    # keys the run does not read, with values a run that reads them takes
+    (base, key, _READABLE[key]) for base, keys in _NOT_READ.values()
+    for key in keys] + [
+    # drift reads n only when initial is absent
+    ({"kind": "adversary", "construction": "drift", "initial": [1, 2, 3]},
+     "n", 7)] + [
+    ({"kind": "oracle", "oracle": name, "grid": [0.75]}, "p", 0.75)
+    for name in ("f_majority", "accept_any_veto", "f_veto", "tau",
+                 "triangle_cdf", "triangle_pdf", "phi1_bound")])
 def test_free_form_fields_validated(base, key, value):
     doc = dict(base)
     if value is None:
@@ -154,6 +192,58 @@ def test_rule_keys_checked(rule, key):
     assert err.value.path == key
 
 
+_ONE_OF_EACH = {
+    "grow": {"kind": "grow", "seed": 1, "rule": {"kind": "veto", "r": 0.25},
+             "initial": [0.5], "accepted": 10, "raw_budget": 100,
+             "mode": "jump", "log_admitted": True, "extra_quantiles": [0.25],
+             "assert_final_gap_below": 0.1},
+    "committee": dict(_COMMITTEE, consensus_checks=True),
+    "drift-n": dict(_DRIFT, target_displacement=5),
+    "drift-initial": {"kind": "adversary", "construction": "drift",
+                      "initial": [1, 2, 3], "target_displacement": "1/2"},
+    "tightness": _TIGHTNESS,
+    "immunity": dict(_IMMUNITY, d=1, D="1/2"),
+    "removal": _REMOVAL,
+    "oracle": {"kind": "oracle", "oracle": "tau", "grid": [0.75]},
+    "oracle-p": dict(_ORACLE, p=0.75),
+    "oracle-needs-p": {"kind": "oracle", "oracle": "truncated_triangle_cdf",
+                       "grid": [0.5], "p": 0.75},
+    "verify": {"kind": "verify", "suite": "quick"},
+    "sweep": {"kind": "sweep", "base": _GROW, "axis": {"accepted": [10]},
+              "seeds": [1]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ONE_OF_EACH))
+def test_any_value_parses_or_is_a_config_error(name):
+    # whatever value a key holds, parsing returns or raises ConfigError:
+    # never a TypeError or other traceback
+    base = _ONE_OF_EACH[name]
+    _parse(base)
+    for key in base:
+        for value in (None, True, -1, 0, 0.5, "x", [], [1], {}):
+            try:
+                _parse(dict(base, **{key: value}))
+            except ConfigError:
+                pass
+
+
+@pytest.mark.parametrize("command, doc, key", [
+    # a subcommand runs only configs of its own kind
+    ("grow", _COMMITTEE, "kind"),
+    ("sweep", _GROW, "kind"),
+    ("oracle", {"kind": "verify"}, "kind"),
+    # the base's rule is the string "majority": rule.r has nowhere to go
+    ("sweep", {"kind": "sweep", "base": _GROW, "axis": {"rule.r": [0.3]},
+               "seeds": [1]}, "axis"),
+])
+def test_cli_config_error_names_key(command, doc, key, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert main([command, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"admitlab: config error: {key}:")
+
+
 def test_oracle_point_outside_domain_names_grid():
     cfg = _parse({"kind": "oracle", "oracle": "tau", "grid": [0.75, 0.2]})
     with pytest.raises(ConfigError) as err:
@@ -166,9 +256,12 @@ def test_exact_rational_fields_accepted():
     assert (cfg.d, cfg.D) == (Fraction(1, 2), 3)
     rec = run_experiment(cfg)
     assert rec.passed
-    rec = run_experiment(_parse(dict(_DRIFT, initial=[1, "5/2", 4, 7, 9],
-                                     target_displacement="3/2")))
-    assert rec.passed
+    # drift reads n only when initial is absent, so this document has no n
+    cfg = _parse({"kind": "adversary", "construction": "drift",
+                  "initial": [1, "5/2", 4, 7, 9], "target_displacement": "3/2"})
+    assert cfg.initial == [1, Fraction(5, 2), 4, 7, 9]
+    assert cfg.target_displacement == Fraction(3, 2)
+    assert run_experiment(cfg).passed
 
 
 def test_seed_mandatory():
@@ -484,3 +577,62 @@ def test_grow_outputs_are_pinned(name, tmp_path):
     assert hashlib.sha256(blob).hexdigest() == summary_sha
     admitted = ",".join(map(repr, rec.trajectory.admitted)).encode()
     assert hashlib.sha256(admitted).hexdigest() == admitted_sha
+
+
+# sha256 of summary.json without wall_clock_s (keys sorted), then of
+# schedule.json or oracle.csv where the run writes one, recorded before each
+# config kind's parser became its schema
+_PINNED_OTHER = {
+    "drift": ({"kind": "adversary", "construction": "drift", "n": 7,
+               "target_displacement": 5},
+              "3192880babe5ed4e8c7670230e531c6b2fea0014125f60f598ae4b28777fdc18",
+              "bc6d038401899922ac656981f2adade4b0db7ca03a0fb23901620bb88123f674"),
+    "drift-initial": ({"kind": "adversary", "construction": "drift",
+                       "initial": [1, "5/2", 4, 7, 9],
+                       "target_displacement": "3/2"},
+                      "c756a7d41aaa25c86a79e53c42b3e6a361f55d555a4efa80cce13158cfa76278",
+                      "889d77a49a593750752a266b3f4cbf2153bf2531281b6e21ac38038028c89a75"),
+    "tightness": ({"kind": "adversary", "construction": "tightness", "k": 3,
+                   "ell": 2},
+                  "1c5551a853947073e191af5eb2ef38cd6bbb74787e78367355b66c0fd96a9e6e",
+                  "90415a6a12168158dd7859d9094eb3fe5b3d3227575e9ddc9e5525641bbf0359"),
+    "immunity": ({"kind": "adversary", "construction": "immunity", "k": 2,
+                  "ell": 1, "d": "1/2", "D": 3},
+                 "61a940428f18729f51e93ccf088ccdf7c429820dc4f97dd69234450830d464da"),
+    "removal": ({"kind": "adversary", "construction": "removal", "k": 2},
+                "6dae8a34bb95590f29b344e92c0d89163ee9c8c69099fae600df60f444ab1aef",
+                "e6a4091d0a8d784d5d58689b935574ee3c81297bc10ef258c426a68f32a0ff9c"),
+    "committee": ({"kind": "committee", "seed": 5, "n": 7, "ell": 1,
+                   "steps": 300},
+                  "36efb33b143ee39769cee33034994d4a0ee56b7c6d0cdef5c728b28904c84598"),
+    "committee-checks": ({"kind": "committee", "seed": 6, "n": 9, "ell": 2,
+                          "steps": 300, "consensus_checks": True},
+                         "3c47dbf445c8d73d3f8d690d7c09ca294e888c7b0bc8a9c8f0ea6c7d993098e3"),
+    "oracle": ({"kind": "oracle", "oracle": "tau", "grid": [0.6, 0.75, 0.9]},
+               "f68053ed2db07d852773ef09b8a5c2873c659a60acba8862835a3d2bd9a199a3",
+               "3948bdb61c7ba3c16f4a122174b3df2f62907d4d78fccb5d1f5e29676b634ef7"),
+    "oracle-p": ({"kind": "oracle", "oracle": "truncated_triangle_cdf",
+                  "grid": [0.1, 0.5, 0.9], "p": 0.8},
+                 "5b95ed20feea3b1359854cf8d4e23addb528a3257dd0c9d853396c5fac7c1f58",
+                 "63b95a63f70b350bac7b06b88da0dece7de5d302fe5dcb60a6ebf266be9d253e"),
+    "verify": ({"kind": "verify", "suite": "criterion-02"},
+               "0d2c9ec47067d008881efae96a1e8345ba7e407aed118f94bfc04189b772807c"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_OTHER))
+def test_other_kinds_outputs_are_pinned(name, tmp_path):
+    doc, summary_sha, *file_sha = _PINNED_OTHER[name]
+    emit_outputs(run_experiment(_parse(doc)), str(tmp_path))
+    with open(os.path.join(tmp_path, "summary.json")) as fh:
+        summary = json.load(fh)
+    summary.pop("wall_clock_s")
+    blob = json.dumps(summary, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == summary_sha
+    written = [f for f in ("schedule.json", "oracle.csv")
+               if os.path.exists(os.path.join(tmp_path, f))]
+    shas = []
+    for f in written:
+        with open(os.path.join(tmp_path, f), "rb") as fh:
+            shas.append(hashlib.sha256(fh.read()).hexdigest())
+    assert shas == file_sha
