@@ -265,33 +265,33 @@ def immunity_config(k: int, ell: int, d, D) -> Committee:
 
 
 def one_step_irreplaceable(committee: Committee, i: int):
-    """Exact maximum, over every candidate, of the votes to replace member i.
+    """Exact maximum, over every candidate y != x_i, of the votes to
+    replace member i.
 
-    vote_count is piecewise constant in y with jumps exactly at the
-    reflections {2*x_j - x_i} and at x_i itself, so evaluating at those
-    points, between consecutive ones, and beyond both extremes covers all
-    candidates.  A candidate at exactly x_i would re-elect the same opinion
-    (gathering n-1 tie votes without displacing anything), so it is not
-    counted against irreplaceability.
+    By the midpoint rule of `Committee.vote_count`, a candidate below x_i
+    gets the members with 2*x_j <= x_i + y: never more than the members
+    strictly below x_i, and all of them at the reflection 2*o - x_i of the
+    nearest such member o.  Candidates above x_i mirror this, so the best
+    vote is the larger of the two counts, two bisections in O(log n).  A
+    candidate at exactly x_i would re-elect the same opinion (gathering n-1
+    tie votes without displacing anything), so it is not counted against
+    irreplaceability.
 
-    Returns (irreplaceable, max_votes, witness_candidate).
+    Returns (irreplaceable, max_votes, witness_candidate): the witness is
+    that reflection on the larger side, or x_i - 1 when no member differs
+    from x_i.
     """
     xi = committee.opinion(i)
-    points = {2 * xj - xi for j, xj in enumerate(committee.values, start=1)
-              if j != i}
-    points.add(xi)
-    bps = sorted(points)
-    candidates = [bps[0] - 1, bps[-1] + 1]
-    candidates.extend(b for b in bps if b != xi)
-    for a, b in zip(bps, bps[1:]):
-        candidates.append(Fraction(a + b, 2))
-    best, witness = -1, None
-    for y in candidates:
-        if y == xi:
-            continue
-        v = committee.vote_count(i, y)
-        if v > best:
-            best, witness = v, y
+    vals = committee.values
+    below = bisect_left(vals, xi)
+    above = committee.n - bisect_right(vals, xi)
+    best = max(below, above)
+    if best == 0:
+        witness = xi - 1
+    elif below >= above:
+        witness = 2 * vals[below - 1] - xi
+    else:
+        witness = 2 * vals[-above] - xi
     return best < committee.threshold, best, witness
 
 
@@ -362,40 +362,27 @@ def removal_schedule(initial: Committee) -> ReplacementSchedule:
 # ------------------------------------------------ random legal replacements
 
 def legal_intervals(committee: Committee, i: int) -> list:
-    """Closed intervals of candidates y whose replacement vote meets the
-    committee threshold, found by sweeping the reflection breakpoints."""
+    """The candidates y whose replacement of member i meets the threshold t,
+    as a list holding one closed interval (lo, hi).
+
+    Let o_1 <= ... <= o_{n-1} be the members other than i.  By the
+    midpoint rule of `Committee.vote_count`, a candidate y < x_i gets the
+    votes of the o_j with 2*o_j <= x_i + y, so it passes exactly when
+    y >= 2*o_t - x_i; a candidate y > x_i passes exactly when
+    y <= 2*o_{n-t} - x_i; and x_i itself gets n-1 >= t votes.  The legal
+    set is therefore [min(x_i, 2*o_t - x_i), max(x_i, 2*o_{n-t} - x_i)],
+    read from the sorted profile in O(1).  A one-member committee (t = 0)
+    accepts every candidate, which no closed interval holds: ValueError.
+    """
     xi = committee.opinion(i)
-    events = []
-    for j, xj in enumerate(committee.values, start=1):
-        if j == i:
-            continue
-        r = 2 * xj - xi
-        lo, hi = (r, xi) if r <= xi else (xi, r)
-        events.append((lo, 0))
-        events.append((hi, 1))
-    events.sort()
-    out = []
-    active = 0
-    open_at = None
-    thr = committee.threshold
-    for point, kind in events:
-        if kind == 0:
-            active += 1
-            if active == thr and open_at is None:
-                open_at = point
-        else:
-            # the closing endpoint itself still qualifies (closed interval)
-            if active == thr and open_at is not None:
-                out.append((open_at, point))
-                open_at = None
-            active -= 1
-    merged = []
-    for lo, hi in out:
-        if merged and lo <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
-        else:
-            merged.append((lo, hi))
-    return merged
+    n, t = committee.n, committee.threshold
+    if n == 1:
+        raise ValueError("a one-member committee accepts every candidate")
+    vals = committee.values
+    # o_m is vals[m-1] below member i's position and vals[m] from it on
+    low_voter = vals[t - 1] if t < i else vals[t]
+    high_voter = vals[n - t - 1] if n - t < i else vals[n - t]
+    return [(min(xi, 2 * low_voter - xi), max(xi, 2 * high_voter - xi))]
 
 
 @dataclass
@@ -419,7 +406,7 @@ class FuzzReport:
 
 
 def _sample_int_replacement(committee: Committee, rng: Rng):
-    """Integer-only variant of the legal-replacement sampler.
+    """A uniform integer candidate from a member's legal interval, or None.
 
     Half the picks go to the two extreme positions: under large ell the
     interior members admit no legal move, and the extremes are where the
@@ -431,23 +418,16 @@ def _sample_int_replacement(committee: Committee, rng: Rng):
         i = 1 if u < 0.25 else n
     else:
         i = int((u - 0.5) * 2 * n) % n + 1
-    intervals = legal_intervals(committee, i)
-    usable = [(-((-lo) // 1), hi // 1) for lo, hi in intervals]
-    usable = [(a, b) for a, b in usable if b >= a]
-    if not usable:
+    (lo, hi), = legal_intervals(committee, i)
+    a, b = -((-lo) // 1), hi // 1
+    if b < a:
         return None
-    weights = [b - a + 1 for a, b in usable]
-    total = sum(weights)
-    pick = int(rng.uniform() * total) % total
-    for (a, b), w in zip(usable, weights):
-        if pick < w:
-            y = a + pick
-            # candidates colliding with any member value are skipped: exact
-            # re-election displaces nothing, and duplicate opinions would
-            # freeze a zero-width cluster that no rescaling can reopen
-            return None if y in committee.values else (i, y)
-        pick -= w
-    raise AssertionError("unreachable")
+    total = b - a + 1
+    y = a + int(rng.uniform() * total) % total
+    # candidates colliding with any member value are skipped: exact
+    # re-election displaces nothing, and duplicate opinions would freeze a
+    # zero-width cluster that no rescaling can reopen
+    return None if y in committee.values else (i, y)
 
 
 def fuzz_epoch(start: Committee, accepted_target: int, rng: Rng,

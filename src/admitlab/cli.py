@@ -588,14 +588,15 @@ def sweep(base_doc: dict, axis: dict, seeds: list) -> dict:
             doc["seed"] = seed
             results.append(_sweep_cell(value, seed, doc))
 
+    # grouped by the printed value, since list values are unhashable
     by_axis: dict = {}
     for r in results:
-        by_axis.setdefault(r["axis"], []).append(r["passed"])
+        by_axis.setdefault(str(r["axis"]), []).append(r["passed"])
     return {
         "cells": results,
         "pass_fraction": (sum(r["passed"] for r in results) / len(results)
                           if results else 1.0),
-        "per_axis_pass": {str(k): sum(v) / len(v) for k, v in by_axis.items()},
+        "per_axis_pass": {k: sum(v) / len(v) for k, v in by_axis.items()},
     }
 
 

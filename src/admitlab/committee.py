@@ -94,7 +94,12 @@ class Committee:
         y < x_i those with 2*x_j <= x_i + y.  Member i is never on y's
         side, and at y == x_i every other member ties.  One bisection of
         the sorted profile thus counts the votes in O(log n) exact
-        comparisons.
+        comparisons.  The same rule gives closed forms in the adversaries
+        module: the legal candidates for member i are one interval whose
+        ends reflect x_i through two order statistics of the other members
+        (`legal_intervals`, O(1)), and the best vote for any y != x_i
+        counts the members strictly on one side of x_i
+        (`one_step_irreplaceable`, O(log n)).
         """
         if not 1 <= i <= self.n:
             raise IndexError(f"member index {i} out of range 1..{self.n}")

@@ -200,19 +200,21 @@ def test_irreplaceable_matches_dense_scan():
         ell = rnd.randrange(0, (n - 1) // 2 + 1)
         c = Committee(vals, ell=ell)
         i = rnd.randrange(1, n + 1)
-        _, max_votes, _ = one_step_irreplaceable(c, i)
+        _, max_votes, witness = one_step_irreplaceable(c, i)
+        (legal_lo, legal_hi), = legal_intervals(c, i)
         xi = c.opinion(i)
         d = c.diameter
         lo, hi = vals[0] - d - 1, vals[-1] + d + 1
         best = -1
         y = Fraction(lo)
         while y <= hi:
-            if y != xi:
-                v = c.vote_count(i, y)
-                if v > best:
-                    best = v
+            v = c.vote_count(i, y)
+            assert (v >= c.threshold) == (legal_lo <= y <= legal_hi)
+            if y != xi and v > best:
+                best = v
             y += Fraction(1, 2)
         assert max_votes == best
+        assert witness != xi and c.vote_count(i, witness) == best
 
 
 def test_immunity_survives_random_replacements_small():

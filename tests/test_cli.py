@@ -418,6 +418,10 @@ def test_sweep_axis_and_failure_recorded():
     # the invalid r cells fail but the sweep completes
     assert report["per_axis_pass"]["0.25"] == 1.0
     assert report["per_axis_pass"]["1.7"] == 0.0
+    # list values are grouped by their printed form, as they are reported
+    report = sweep(base, {"initial": [[0.25], [0.5]]}, seeds=[1, 2])
+    assert [c["axis"] for c in report["cells"]] == [[0.25]] * 2 + [[0.5]] * 2
+    assert report["per_axis_pass"] == {"[0.25]": 1.0, "[0.5]": 1.0}
 
 
 def test_cli_main_verify(capsys):

@@ -18,6 +18,7 @@ from admitlab.adversaries import (
     _sample_int_replacement,
     committee_fuzz,
     legal_intervals,
+    one_step_irreplaceable,
     removal_schedule,
     replay,
 )
@@ -191,6 +192,15 @@ def test_vote_count_matches_brute_force_on_exact_profiles(case):
     assert c.vote_count(i, y) == brute
     accepted, after = c.replace_attempt(i, y)
     assert accepted == (brute >= c.threshold)
+    if c.n >= 2:
+        # the closed forms read from the same midpoint rule
+        (lo, hi), = legal_intervals(c, i)
+        assert accepted == (lo <= y <= hi)
+        _, max_votes, witness = one_step_irreplaceable(c, i)
+        if y != c.values[i - 1]:
+            assert max_votes >= brute
+        assert witness != c.values[i - 1]
+        assert _brute_votes(c, i, witness) == max_votes
     if accepted:
         rest = list(c.values)
         del rest[i - 1]
@@ -306,6 +316,15 @@ def test_legal_intervals_consensus_shape():
     # interior member: only re-election
     ivs2 = legal_intervals(c, 2)
     assert ivs2 == [(4, 4)]
+
+
+def test_legal_intervals_reject_one_member_and_bad_index():
+    # threshold 0 accepts every candidate: no closed interval holds that
+    with pytest.raises(ValueError):
+        legal_intervals(Committee([5], ell=0), 1)
+    for i in (0, 4):
+        with pytest.raises(IndexError):
+            legal_intervals(Committee([0, 4, 10], ell=1), i)
 
 
 def test_sampled_replacements_always_accepted():
