@@ -2,8 +2,8 @@
 
 from .group import GroupState
 from .rng import Rng
-from .rules import CandidatePair, Decision, RuleSpec, decide
-from .engine import Trajectory, draw_pair, run, step
+from .rules import CandidatePair, RuleSpec, decide
+from .engine import Trajectory, run, step
 from .oracles import (
     OracleContext,
     accept_any_veto,
@@ -25,7 +25,6 @@ from .version import __version__
 __all__ = [
     "CandidatePair",
     "Committee",
-    "Decision",
     "GroupState",
     "OracleContext",
     "Rng",
@@ -33,7 +32,6 @@ __all__ = [
     "Trajectory",
     "accept_any_veto",
     "decide",
-    "draw_pair",
     "f_majority",
     "f_veto",
     "gap_functions",

@@ -182,44 +182,36 @@ def geometric_tightness_run(k: int, ell: int) -> TightnessRun:
         raise ArithmeticError("profile exhausted before n points; k too large")
 
     positions = [0]
-    for q in gaps[: n - 1]:
+    for q in gaps:
         positions.append(positions[-1] + q)
-    committee = Committee([Fraction(p, scale) for p in positions], ell)
-    initial = committee
+    initial = Committee([Fraction(x, scale) for x in positions[:n]], ell)
+    # every step replaces x_1 by one gap past the maximum
+    schedule = ReplacementSchedule(
+        [(1, Fraction(x, scale)) for x in positions[n:]],
+        f"geometric-tightness k={k} ell={ell}")
+    res = replay(initial, schedule)
+    if not res.accepted_all:
+        idx = res.failed_at
+        raise ArithmeticError(
+            f"geometric construction step {idx} illegal: "
+            f"{res.vote_counts[idx]} < {initial.threshold}")
 
-    steps = []
-    top = positions[-1]
-    for q in gaps[n - 1:]:
-        top += q
-        steps.append((1, Fraction(top, scale)))
-    schedule = ReplacementSchedule(steps, f"geometric-tightness k={k} ell={ell}")
-
-    # replay with margin tracking.  Every step replaces x_1 by a y above the
-    # maximum, so voter j's margin |x_j - x_1| - |x_j - y| is 2*x_j - s with
-    # s = x_1 + y: it grows with j, and the smallest nonzero ones belong to
-    # the nearest members strictly below and strictly above s/2 (member 1
-    # itself never votes; exact ties have margin 0 and are skipped)
-    min_margin = None
-    cur = committee
-    for idx, (i, y) in enumerate(steps):
-        votes = cur.vote_count(i, y)
-        if votes < cur.threshold:
-            raise ArithmeticError(
-                f"geometric construction step {idx} illegal: "
-                f"{votes} < {cur.threshold}")
-        vals = cur.values
-        s = vals[0] + y
-        below = bisect_left(vals, s / 2) - 1
-        above = bisect_right(vals, s / 2)
-        near = []
-        if below >= 1:
-            near.append(s - 2 * vals[below])
-        if above < cur.n:
-            near.append(2 * vals[above] - s)
-        for m in near:
-            if min_margin is None or m < min_margin:
-                min_margin = m
-        cur = cur._swap(i, y)
+    # Before step idx the profile is positions[idx:idx+n] and y is
+    # positions[idx+n], so voter j's margin |x_j - x_1| - |x_j - y| is
+    # 2*x_j - s with s = x_1 + y: it grows with j, and the smallest nonzero
+    # ones belong to the nearest members strictly below and strictly above
+    # s/2 (member 1 itself never votes; exact ties have margin 0 and are
+    # skipped).  Margins are counted in grid units, 1/scale each.
+    margins = []
+    for idx in range(len(positions) - n):
+        s = positions[idx] + positions[idx + n]
+        below = bisect_left(positions, (s + 1) // 2, idx, idx + n) - 1
+        above = bisect_right(positions, s // 2, idx, idx + n)
+        if below > idx:
+            margins.append(s - 2 * positions[below])
+        if above < idx + n:
+            margins.append(2 * positions[above] - s)
+    min_margin = Fraction(min(margins), scale) if margins else None
     # each gap drifts at most 1/d grid units from the exact ratio power, so
     # any position (a gap sum) is within len(gaps)/d units of ideal; a vote
     # comparison combines four positions
@@ -229,11 +221,11 @@ def geometric_tightness_run(k: int, ell: int) -> TightnessRun:
             "quantization slack reaches the smallest vote margin; "
             "the dyadic profile may not represent the ideal construction")
 
-    tracked = cur.values[k - ell + 2 - 1]
+    tracked = res.committee.values[k - ell + 2 - 1]
     displacement = tracked - initial.values[-1]
     bound = Fraction(initial.diameter * k, 2 * ell - 1)
     return TightnessRun(d, schedule, displacement, displacement / bound,
-                        initial, cur, min_margin)
+                        initial, res.committee, min_margin)
 
 
 # --------------------------------------------------- immunity construction

@@ -35,7 +35,7 @@ from .engine import run as engine_run
 from .experiments import CRITERIA
 from .group import GroupState
 from .rng import Rng
-from .rules import RuleSpec
+from .rules import _RULES, RuleSpec
 
 class ConfigError(ValueError):
     """Schema violation, tagged with the offending key path."""
@@ -213,7 +213,7 @@ def _parse_rule(node) -> RuleSpec:
     if not isinstance(node, dict):
         raise ConfigError("rule", "must be an object or rule name")
     kind = node.get("kind")
-    if kind not in ("majority", "consensus", "veto"):
+    if kind not in _RULES:
         raise ConfigError("rule.kind", f"unknown rule kind {kind!r}")
     allowed = {"kind", "r"} if kind == "veto" else {"kind"}
     unknown = sorted(node.keys() - allowed)
@@ -365,16 +365,11 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
 def _run_grow(cfg: ExperimentConfig):
     group = GroupState(cfg.initial)
     rule = cfg.rule
-    tau = None
-    if rule.kind == "majority":
-        tau = 0.5
-    elif rule.kind == "veto" and rule.p > 0.5:
-        tau = oracles.tau(rule.p)
     traj = engine_run(group, rule, Rng(cfg.seed),
                       accepted_target=cfg.accepted,
                       raw_budget=cfg.raw_budget,
                       log_admitted=cfg.log_admitted,
-                      tau=tau, extra_quantiles=cfg.extra_quantiles,
+                      tau=rule.tau, extra_quantiles=cfg.extra_quantiles,
                       mode=cfg.mode)
     verdicts = {"completed": not traj.exhausted}
     last = traj.checkpoints[-1]
@@ -383,7 +378,8 @@ def _run_grow(cfg: ExperimentConfig):
                                        last.gap <= cfg.assert_final_gap_below)
     summary = {"k": last.k, "raw_steps": traj.raw_steps,
                "accepted": traj.accepted, "final_q_p": last.q_p,
-               "final_gap": last.gap, "x1": last.x1, "xk": last.xk, "tau": tau}
+               "final_gap": last.gap, "x1": last.x1, "xk": last.xk,
+               "tau": rule.tau}
     if cfg.log_admitted and traj.admitted:
         half = traj.admitted[len(traj.admitted) // 2:]
         if rule.kind == "majority":
@@ -579,12 +575,13 @@ def sweep(base_doc: dict, axis: dict, seeds: list) -> dict:
     the seed written into its config, so cells are independent.
     """
     (axis_key, axis_values), = axis.items()
+    if not axis_values:
+        raise ConfigError("axis", f"{axis_key}: no values to sweep")
     results = []
-    for value in (axis_values if axis_values else [None]):
+    for value in axis_values:
         for seed in seeds:
             doc = json.loads(json.dumps(base_doc))
-            if value is not None:
-                _set_path(doc, axis_key, value)
+            _set_path(doc, axis_key, value)
             doc["seed"] = seed
             results.append(_sweep_cell(value, seed, doc))
 

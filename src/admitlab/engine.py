@@ -9,8 +9,9 @@ Two sampling modes are available:
 * ``steps`` (default, every rule): one driver draws a sorted candidate pair
   per raw step and applies the rule's kernel from `rules.kernel`, its
   decision on the cached summary (median, extremes or a quantile), which is
-  re-read only after a member joins.  It takes the same draws and decisions
-  as a loop over `step`.  The draws come in buffers from
+  re-read only after a member joins.  The decision returns the opinion it
+  admits, or None when nobody joins.  The driver takes the same draws and
+  decisions as a loop over `step`.  The draws come in buffers from
   `Rng.uniform_block`, `need = min(_CHUNK_PAIRS, goal - size, budget - raw)`
   pairs at a time.  A step takes exactly two draws and admits at most one
   member, so the run is certain to last at least `need` more steps and every
@@ -37,16 +38,9 @@ from typing import Optional
 from .group import GroupState
 from .oracles import accept_any_veto
 from .rng import Rng
-from .rules import CandidatePair, Decision, RuleSpec, decide, kernel
+from .rules import CandidatePair, RuleSpec, decide, kernel
 
 _CHUNK_PAIRS = 32768  # most candidate pairs the steps driver draws at once
-
-
-@dataclass(frozen=True)
-class StepRecord:
-    step_index: int
-    decision: Decision
-    admitted_value: Optional[float]
 
 
 @dataclass
@@ -69,24 +63,13 @@ class Trajectory:
     exhausted: bool = False           # raw budget ran out before target
 
 
-def draw_pair(rng: Rng) -> CandidatePair:
-    a = rng.uniform()
-    b = rng.uniform()
-    return CandidatePair(a, b) if a <= b else CandidatePair(b, a)
-
-
-def step(group: GroupState, rule: RuleSpec, rng: Rng,
-         step_index: int = 0) -> StepRecord:
-    """One raw step: draw a pair, decide, insert the admitted value if any."""
-    pair = draw_pair(rng)
-    decision = decide(rule, group, pair)
-    if decision is Decision.ADMIT_LEFT:
-        group.insert(pair.y1)
-        return StepRecord(step_index, decision, pair.y1)
-    if decision is Decision.ADMIT_RIGHT:
-        group.insert(pair.y2)
-        return StepRecord(step_index, decision, pair.y2)
-    return StepRecord(step_index, decision, None)
+def step(group: GroupState, rule: RuleSpec, rng: Rng) -> Optional[float]:
+    """One raw step: draw two uniforms, decide on the sorted pair, insert
+    and return the admitted opinion, or None when nobody joins."""
+    y = decide(rule, group, CandidatePair(rng.uniform(), rng.uniform()))
+    if y is not None:
+        group.insert(y)
+    return y
 
 
 def _next_checkpoint(k: int) -> int:
@@ -166,7 +149,8 @@ def run(initial: GroupState, rule: RuleSpec, rng: Rng,
             u = uniform()
             if p_acc < 1.0:
                 # failures before the first success, then the success itself
-                skipped = int(math.log(1.0 - u) / math.log1p(-p_acc)) if u < 1.0 else 0
+                # (uniform() < 1, so the log is finite)
+                skipped = int(math.log(1.0 - u) / math.log1p(-p_acc))
                 if raw_budget is not None and raw + skipped + 1 > raw_budget:
                     raw = raw_budget
                     break
@@ -182,7 +166,6 @@ def run(initial: GroupState, rule: RuleSpec, rng: Rng,
                 next_ck = _next_checkpoint(group.size)
     else:
         summary, decision = kernel(rule, group)
-        left, none = Decision.ADMIT_LEFT, Decision.ADMIT_NONE
         s = summary()
         while (goal is None or group.size < goal) and \
               (raw_budget is None or raw < raw_budget):
@@ -200,10 +183,9 @@ def run(initial: GroupState, rule: RuleSpec, rng: Rng,
                 if u2 < u1:
                     u1, u2 = u2, u1
                 raw += 1
-                d = decision(s, u1, u2)
-                if d is none:
+                y = decision(s, u1, u2)
+                if y is None:  # 0.0 is a legal opinion
                     continue
-                y = u1 if d is left else u2
                 insert(y)
                 s = summary()  # every summary moves only when a member joins
                 if admitted is not None:

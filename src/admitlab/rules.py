@@ -1,33 +1,20 @@
 """Admission rules: pure decisions from a group summary and a candidate pair.
 
 Each rule looks only at the summary it is allowed to see (median for
-majority, extremes for consensus, one quantile for veto and custom
-quantile-driven rules).  Exact ties always resolve toward the left (smaller)
-candidate so replays are deterministic.
+majority, extremes for consensus, the (1-r)-quantile for veto).  A decision
+returns the opinion it admits, or None when nobody joins.  Exact ties
+always resolve toward the left (smaller) candidate so replays are
+deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import partial
-from typing import Callable, Optional
+from typing import Optional
 
+from . import oracles
 from .group import GroupState
-
-
-class Decision(Enum):
-    ADMIT_LEFT = "left"
-    ADMIT_RIGHT = "right"
-    ADMIT_NONE = "none"
-
-
-# Plain names for the members: in the decisions below, which run once per
-# raw step, `Decision.ADMIT_LEFT` would cost a class attribute lookup
-# (about 0.2 us on CPython 3.11) on every call.
-ADMIT_LEFT = Decision.ADMIT_LEFT
-ADMIT_RIGHT = Decision.ADMIT_RIGHT
-ADMIT_NONE = Decision.ADMIT_NONE
 
 
 @dataclass(frozen=True)
@@ -44,14 +31,14 @@ class CandidatePair:
             object.__setattr__(self, "y2", b)
 
 
-def majority_decide(median: float, y1: float, y2: float) -> Decision:
+def majority_decide(median: float, y1: float, y2: float) -> float:
     """Admit the candidate closer to the median; exact tie admits the left."""
     if abs(median - y1) <= abs(median - y2):
-        return ADMIT_LEFT
-    return ADMIT_RIGHT
+        return y1
+    return y2
 
 
-def consensus_decide(extremes: tuple, y1: float, y2: float) -> Decision:
+def consensus_decide(extremes: tuple, y1: float, y2: float) -> Optional[float]:
     """Admit only on a unanimous vote (ties vote left).
 
     `extremes` is the (min, max) member pair.  All members vote left
@@ -61,71 +48,65 @@ def consensus_decide(extremes: tuple, y1: float, y2: float) -> Decision:
     min_member, max_member = extremes
     mid = 0.5 * (y1 + y2)
     if mid >= max_member:
-        return ADMIT_LEFT
+        return y1
     if mid < min_member:
-        return ADMIT_RIGHT
-    return ADMIT_NONE
+        return y2
+    return None
 
 
-def veto_decide(q_threshold: float, y1: float, y2: float) -> Decision:
+def veto_decide(q_threshold: float, y1: float, y2: float) -> Optional[float]:
     """Right candidate joins iff the pair midpoint is strictly below the
     (1-r)-quantile; the left candidate can never join."""
     if 0.5 * (y1 + y2) < q_threshold:
-        return ADMIT_RIGHT
-    return ADMIT_NONE
+        return y2
+    return None
 
 
-# Signature of every decision, custom quantile-driven rules included:
-# (summary, y1, y2) -> Decision with y1 <= y2.
-QuantileDecisionFn = Callable[[float, float, float], Decision]
+# kind -> (driving quantile p from r, limit tau_p of q_p from p, smoothness
+# constants (c1, c2), reader of the rule's summary bound to a group and p,
+# decision)
+_RULES = {
+    "majority": (lambda r: 0.5, lambda p: 0.5, (1.0, 2.0),
+                 lambda group, p: group.median, majority_decide),
+    "consensus": (lambda r: None, lambda p: None, (1.0, 2.0),
+                  lambda group, p: lambda: (group.min(), group.max()),
+                  consensus_decide),
+    "veto": (lambda r: 1.0 - r, lambda p: oracles.tau(p) if p > 0.5 else None,
+             (1.0, 4.0), lambda group, p: partial(group.quantile, p),
+             veto_decide),
+}
 
 
 @dataclass(frozen=True)
 class RuleSpec:
-    """Which admission rule drives a run, plus its smoothness constants.
+    """Which admission rule drives a run: its kind, and r for veto.
 
-    `p` is the driving quantile (1/2 for majority, 1-r for veto); consensus
-    is not quantile-driven and carries p=None.  c1/c2 are the constants the
-    smoothness certification tests the rule against.
+    The other fields come from the kind's row of the rules table.  `p` is
+    the driving quantile (1/2 for majority, 1-r for veto); consensus is not
+    quantile-driven and carries p=None.  `tau` is the limit of q_p where it
+    has a closed form (1/2 for majority, the veto fixed point for p > 1/2),
+    else None.  c1/c2 are the constants the smoothness certification tests
+    the rule against.
     """
 
-    kind: str  # "majority" | "consensus" | "veto" | "quantile"
+    kind: str  # "majority" | "consensus" | "veto"
     r: Optional[float] = None
-    p: Optional[float] = field(default=None)
-    decision_fn: Optional[QuantileDecisionFn] = None
-    c1: float = 1.0
-    c2: float = 2.0
+    p: Optional[float] = field(init=False)
+    tau: Optional[float] = field(init=False)
+    c1: float = field(init=False)
+    c2: float = field(init=False)
 
     def __post_init__(self):
-        kind = self.kind
-        if kind == "majority":
-            object.__setattr__(self, "p", 0.5)
-        elif kind == "veto":
-            if self.r is None or not 0.0 < self.r < 1.0:
-                raise ValueError(f"veto rule needs r in (0, 1), got {self.r!r}")
-            object.__setattr__(self, "p", 1.0 - self.r)
-            if self.c2 == 2.0:
-                object.__setattr__(self, "c2", 4.0)
-        elif kind == "quantile":
-            if self.p is None or not 0.0 <= self.p <= 1.0:
-                raise ValueError(f"quantile rule needs p in [0, 1], got {self.p!r}")
-            if self.decision_fn is None:
-                raise ValueError("quantile rule needs a decision function")
-        elif kind != "consensus":
-            raise ValueError(f"unknown rule kind {kind!r}")
-        if self.c1 <= 0 or self.c2 <= 0:
-            raise ValueError("smoothness constants must be positive")
-
-
-# kind -> (reader of the rule's summary bound to a group and p, decision);
-# a custom quantile rule brings its own decision.
-_KERNELS = {
-    "majority": (lambda group, p: group.median, majority_decide),
-    "consensus": (lambda group, p: lambda: (group.min(), group.max()),
-                  consensus_decide),
-    "veto": (lambda group, p: partial(group.quantile, p), veto_decide),
-    "quantile": (lambda group, p: partial(group.quantile, p), None),
-}
+        if self.kind not in _RULES:
+            raise ValueError(f"unknown rule kind {self.kind!r}")
+        if self.kind == "veto" and (self.r is None or not 0.0 < self.r < 1.0):
+            raise ValueError(f"veto rule needs r in (0, 1), got {self.r!r}")
+        p_of, tau_of, (c1, c2) = _RULES[self.kind][:3]
+        p = p_of(self.r)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "tau", tau_of(p))
+        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "c2", c2)
 
 
 def kernel(rule: RuleSpec, group: GroupState) -> tuple:
@@ -134,14 +115,16 @@ def kernel(rule: RuleSpec, group: GroupState) -> tuple:
     The reader takes no argument and returns the only summary the rule
     sees (median, (min, max) or the p-quantile); the summary changes only
     when a member joins.  The decision maps (summary, y1, y2), y1 <= y2,
-    to a Decision.
+    to the admitted opinion, or None when nobody joins.
     """
-    bind, decision = _KERNELS[rule.kind]
-    return bind(group, rule.p), decision or rule.decision_fn
+    bind, decision = _RULES[rule.kind][3:]
+    return bind(group, rule.p), decision
 
 
-def decide(rule: RuleSpec, group: GroupState, pair: CandidatePair) -> Decision:
-    """The rule's decision on the pair, read from the group's summary.
+def decide(rule: RuleSpec, group: GroupState,
+           pair: CandidatePair) -> Optional[float]:
+    """The opinion the rule admits from the pair, read from the group's
+    summary, or None when nobody joins.
 
     An empty group has no summary: reading it raises ValueError."""
     summary, decision = kernel(rule, group)

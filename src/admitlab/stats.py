@@ -194,11 +194,9 @@ def smoothness_report(rule: RuleSpec, summary_grid: Sequence[float],
                 passed = passed and ok
                 rows.append(IntervalEstimate(q, i * d, (i + 1) * d,
                                              est, se, lo_b, hi_b, ok))
-    increasing = all(
+    f_increasing = all(
         b1 + 3 * (s1 + s0) > b0
         for (_, b0, s0), (_, b1, s1) in zip(f_hat, f_hat[1:]))
-    strictly = all(b1 > b0 for (_, b0, _), (_, b1, _) in zip(f_hat, f_hat[1:]))
-    f_increasing = strictly or increasing
     return SmoothnessReport(rule.kind, rule.c1, rule.c2, rows, f_hat,
                             f_increasing, passed and f_increasing)
 

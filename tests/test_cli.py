@@ -386,19 +386,11 @@ def test_committee_schedule_rationals_as_strings(tmp_path):
     assert all("/" in y for _, y in sched["steps"])
 
 
-def test_sweep_empty_axis_single_run():
-    base = {"kind": "grow", "rule": "majority", "initial": [0.25],
-            "accepted": 200, "seed": 0}
-    report = sweep(base, {"accepted": []}, seeds=[1])
-    assert len(report["cells"]) == 1
-    assert report["pass_fraction"] == 1.0
-
-
 def test_sweep_majority_convergence_pass_fraction():
     # seed sweep aggregating the |median - 1/2| verdict per cell
     base = {"kind": "grow", "rule": "majority", "initial": [0.25],
             "accepted": 20000, "seed": 0, "assert_final_gap_below": 0.2}
-    report = sweep(base, {"accepted": []}, seeds=[1, 2, 3, 4, 5])
+    report = sweep(base, {"accepted": [20000]}, seeds=[1, 2, 3, 4, 5])
     assert len(report["cells"]) == 5
     assert report["pass_fraction"] == 1.0
 
@@ -422,6 +414,16 @@ def test_sweep_axis_and_failure_recorded():
     report = sweep(base, {"initial": [[0.25], [0.5]]}, seeds=[1, 2])
     assert [c["axis"] for c in report["cells"]] == [[0.25]] * 2 + [[0.5]] * 2
     assert report["per_axis_pass"] == {"[0.25]": 1.0, "[0.5]": 1.0}
+    # a null value is set like any other: it lifts the base's raw budget
+    report = sweep(dict(base, raw_budget=7), {"raw_budget": [None, 20]},
+                   seeds=[1])
+    null_cell, cell_20 = report["cells"]
+    assert null_cell["axis"] is None and null_cell["passed"]
+    assert null_cell["summary"]["accepted"] == 300
+    assert cell_20["summary"]["raw_steps"] == 20 and not cell_20["passed"]
+    # an empty axis has nothing to sweep
+    with pytest.raises(ConfigError, match="^axis: "):
+        sweep(base, {"raw_budget": []}, seeds=[1])
 
 
 def test_cli_main_verify(capsys):

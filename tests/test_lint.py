@@ -35,3 +35,12 @@ def test_committee_layout_private_to_committee_module():
             found += hits
     assert inside > 0
     assert not found, f"Committee layout used outside committee.py: {found}"
+
+
+def test_every_export_resolves():
+    # a name left in __all__ after its definition is gone breaks
+    # `from admitlab import *`
+    missing = [name for name in admitlab.__all__
+               if not hasattr(admitlab, name)]
+    assert len(admitlab.__all__) > 10
+    assert not missing, f"stale names in admitlab.__all__: {missing}"

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from admitlab.engine import draw_pair
+from admitlab.engine import step
+from admitlab.group import GroupState
 from admitlab.rng import Rng
+from admitlab.rules import RuleSpec
 
 
 def test_same_seed_same_stream():
@@ -48,12 +50,13 @@ def test_block_lengths_match_steps_and_state(n):
 
 
 def test_pair_is_sorted_and_advances_two():
-    # the engine's pair draw: the next two uniforms, sorted
+    # a step draws the next two uniforms and decides on them sorted: veto
+    # around a founder at 1 admits the right (larger) candidate of any pair
     a = Rng(5)
     b = Rng(5)
-    pair = draw_pair(a)
+    y = step(GroupState([1.0]), RuleSpec("veto", r=0.25), a)
     u, v = b.uniform(), b.uniform()
-    assert (pair.y1, pair.y2) == ((u, v) if u <= v else (v, u))
+    assert y == max(u, v)
     assert a.state() == b.state()
 
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from admitlab.group import GroupState
 from admitlab.rules import (
     CandidatePair,
-    Decision,
     RuleSpec,
     consensus_decide,
     decide,
@@ -19,22 +18,22 @@ from admitlab.rules import (
 
 
 def test_majority_examples():
-    assert majority_decide(0.4, 0.3, 0.6) is Decision.ADMIT_LEFT
-    assert majority_decide(0.5, 0.4, 0.6) is Decision.ADMIT_LEFT  # tie
-    assert majority_decide(0.1, 0.5, 0.9) is Decision.ADMIT_LEFT
-    assert majority_decide(0.8, 0.1, 0.7) is Decision.ADMIT_RIGHT
+    assert majority_decide(0.4, 0.3, 0.6) == 0.3
+    assert majority_decide(0.5, 0.4, 0.6) == 0.4  # tie
+    assert majority_decide(0.1, 0.5, 0.9) == 0.5
+    assert majority_decide(0.8, 0.1, 0.7) == 0.7
 
 
 def test_consensus_examples():
-    assert consensus_decide((0.4, 0.6), 0.1, 0.15) is Decision.ADMIT_RIGHT
-    assert consensus_decide((0.4, 0.6), 0.3, 0.7) is Decision.ADMIT_NONE
-    assert consensus_decide((0.4, 0.6), 0.7, 0.9) is Decision.ADMIT_LEFT
+    assert consensus_decide((0.4, 0.6), 0.1, 0.15) == 0.15
+    assert consensus_decide((0.4, 0.6), 0.3, 0.7) is None
+    assert consensus_decide((0.4, 0.6), 0.7, 0.9) == 0.7
 
 
 def test_veto_examples():
-    assert veto_decide(0.6, 0.3, 0.7) is Decision.ADMIT_RIGHT
-    assert veto_decide(0.6, 0.5, 0.9) is Decision.ADMIT_NONE
-    assert veto_decide(0.6, 0.6, 0.6) is Decision.ADMIT_NONE  # strict
+    assert veto_decide(0.6, 0.3, 0.7) == 0.7
+    assert veto_decide(0.6, 0.5, 0.9) is None
+    assert veto_decide(0.6, 0.6, 0.6) is None  # strict
 
 
 def test_pair_normalizes():
@@ -44,15 +43,15 @@ def test_pair_normalizes():
 
 def test_dispatch_examples():
     g = GroupState([0.1, 0.5, 0.9])
-    assert decide(RuleSpec("majority"), g, CandidatePair(0.45, 0.95)) is Decision.ADMIT_LEFT
+    assert decide(RuleSpec("majority"), g, CandidatePair(0.45, 0.95)) == 0.45
 
     gv = GroupState([0.1, 0.3, 0.7, 0.7])  # q_{0.75} = 0.7
     rule = RuleSpec("veto", r=0.25)
     assert gv.quantile(0.75) == 0.7
-    assert decide(rule, gv, CandidatePair(0.2, 0.9)) is Decision.ADMIT_RIGHT
+    assert decide(rule, gv, CandidatePair(0.2, 0.9)) == 0.9
 
     gc = GroupState([0.5])
-    assert decide(RuleSpec("consensus"), gc, CandidatePair(0.1, 0.2)) is Decision.ADMIT_RIGHT
+    assert decide(RuleSpec("consensus"), gc, CandidatePair(0.1, 0.2)) == 0.2
 
 
 def test_dispatch_empty_group():
@@ -68,7 +67,9 @@ def test_rulespec_validation():
     with pytest.raises(ValueError):
         RuleSpec("nonsense")
     with pytest.raises(ValueError):
-        RuleSpec("quantile", p=0.5)  # missing decision function
+        RuleSpec("quantile")  # custom kinds are gone
+    with pytest.raises(TypeError):
+        RuleSpec("majority", p=0.5)  # p is read from the kind, not set
     assert RuleSpec("majority").p == 0.5
     assert RuleSpec("veto", r=0.25).p == 0.75
     assert RuleSpec("veto", r=0.25).c2 == 4.0
@@ -91,9 +92,8 @@ def test_majority_matches_vote_count():
         g = GroupState(members)
         pair = CandidatePair(rnd.random(), rnd.random())
         left_votes = sum(_vote_left(m, pair.y1, pair.y2) for m in members)
-        expected = Decision.ADMIT_LEFT if 2 * left_votes >= len(members) \
-            else Decision.ADMIT_RIGHT
-        assert majority_decide(g.median(), pair.y1, pair.y2) is expected
+        expected = pair.y1 if 2 * left_votes >= len(members) else pair.y2
+        assert majority_decide(g.median(), pair.y1, pair.y2) == expected
 
 
 def test_consensus_matches_unanimity():
@@ -111,12 +111,12 @@ def test_consensus_matches_unanimity():
             pair = CandidatePair(rnd.random(), rnd.random())
         votes_left = [_vote_left(m, pair.y1, pair.y2) for m in members]
         if all(votes_left):
-            expected = Decision.ADMIT_LEFT
+            expected = pair.y1
         elif not any(votes_left):
-            expected = Decision.ADMIT_RIGHT
+            expected = pair.y2
         else:
-            expected = Decision.ADMIT_NONE
-        assert consensus_decide((g.min(), g.max()), pair.y1, pair.y2) is expected
+            expected = None
+        assert consensus_decide((g.min(), g.max()), pair.y1, pair.y2) == expected
 
 
 def test_veto_matches_fraction_count():
@@ -138,18 +138,17 @@ def test_veto_matches_fraction_count():
         need = Fraction(r) * k
         got = veto_decide(g.quantile(p), pair.y1, pair.y2)
         if Fraction(right_voters) > need:
-            assert got is Decision.ADMIT_RIGHT
+            assert got == pair.y2
         elif Fraction(right_voters) < need:
-            assert got is Decision.ADMIT_NONE
+            assert got is None
         else:
-            expected = Decision.ADMIT_RIGHT if mid < g.quantile(p) \
-                else Decision.ADMIT_NONE
-            assert got is expected
+            expected = pair.y2 if mid < g.quantile(p) else None
+            assert got == expected
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1))
 def test_decisions_are_pure(m, a, b):
     y1, y2 = min(a, b), max(a, b)
-    assert majority_decide(m, y1, y2) is majority_decide(m, y1, y2)
-    assert veto_decide(m, y1, y2) is veto_decide(m, y1, y2)
+    assert majority_decide(m, y1, y2) == majority_decide(m, y1, y2)
+    assert veto_decide(m, y1, y2) == veto_decide(m, y1, y2)
