@@ -369,7 +369,7 @@ def _run_grow(cfg: ExperimentConfig):
                       accepted_target=cfg.accepted,
                       raw_budget=cfg.raw_budget,
                       log_admitted=cfg.log_admitted,
-                      tau=rule.tau, extra_quantiles=cfg.extra_quantiles,
+                      extra_quantiles=cfg.extra_quantiles,
                       mode=cfg.mode)
     verdicts = {"completed": not traj.exhausted}
     last = traj.checkpoints[-1]
@@ -577,6 +577,8 @@ def sweep(base_doc: dict, axis: dict, seeds: list) -> dict:
     (axis_key, axis_values), = axis.items()
     if not axis_values:
         raise ConfigError("axis", f"{axis_key}: no values to sweep")
+    if not seeds:
+        raise ConfigError("seeds", "no seeds to sweep")
     results = []
     for value in axis_values:
         for seed in seeds:
@@ -591,8 +593,7 @@ def sweep(base_doc: dict, axis: dict, seeds: list) -> dict:
         by_axis.setdefault(str(r["axis"]), []).append(r["passed"])
     return {
         "cells": results,
-        "pass_fraction": (sum(r["passed"] for r in results) / len(results)
-                          if results else 1.0),
+        "pass_fraction": sum(r["passed"] for r in results) / len(results),
         "per_axis_pass": {k: sum(v) / len(v) for k, v in by_axis.items()},
     }
 

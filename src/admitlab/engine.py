@@ -95,16 +95,15 @@ def run(initial: GroupState, rule: RuleSpec, rng: Rng,
         accepted_target: Optional[int] = None,
         raw_budget: Optional[int] = None,
         log_admitted: bool = False,
-        tau: Optional[float] = None,
         extra_quantiles: tuple = (),
         mode: str = "steps") -> Trajectory:
     """Run the admission process and record a checkpointed trajectory.
 
     Stops when `accepted_target` members have been admitted or `raw_budget`
-    raw steps have elapsed, whichever comes first.  `tau` is the limit the
-    gap column is measured against (left None when the rule has no
-    closed-form fixed point).  `extra_quantiles` lists additional p values
-    recorded at every checkpoint.
+    raw steps have elapsed, whichever comes first.  The gap column is
+    measured against `rule.tau` (None when the rule has no closed-form
+    fixed point).  `extra_quantiles` lists additional p values recorded at
+    every checkpoint.
     """
     if initial.size == 0:
         raise ValueError("initial group must be non-empty")
@@ -124,7 +123,7 @@ def run(initial: GroupState, rule: RuleSpec, rng: Rng,
     admitted: Optional[list] = [] if log_admitted else None
     raw = 0
 
-    p = rule.p
+    p, tau = rule.p, rule.tau
     uniform = rng.uniform
     insert = group.insert
     quantile = group.quantile

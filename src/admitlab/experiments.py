@@ -78,7 +78,7 @@ def majority_convergence_worker(seed: int) -> tuple:
     {0.25} to 1e6 accepted."""
     group = GroupState([0.25])
     traj = run(group, RuleSpec("majority"), Rng(seed),
-               accepted_target=10 ** 6, tau=0.5, log_admitted=True)
+               accepted_target=10 ** 6, log_admitted=True)
     second_half = traj.admitted[len(traj.admitted) // 2:]
     return (abs(group.median() - 0.5),
             stats.ks_distance(second_half, oracles.triangle_cdf))
@@ -140,8 +140,7 @@ def veto_interior_worker(seed: int) -> tuple:
     eta = (p - 0.5) / 4.0
     group = GroupState([1.0])
     traj = run(group, RuleSpec("veto", r=1.0 - p), Rng(seed),
-               accepted_target=10 ** 6, tau=oracles.tau(p),
-               extra_quantiles=(p - eta,))
+               accepted_target=10 ** 6, extra_quantiles=(p - eta,))
     series = [c.extra[p - eta] for c in traj.checkpoints]
     first = next((i for i, q in enumerate(series) if q > 0.5), None)
     return (traj.checkpoints[-1].gap,

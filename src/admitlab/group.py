@@ -1,10 +1,14 @@
 """Order-statistic multiset for the growing group's opinions.
 
-Values live in [0, 1] and are hashed into fixed-width buckets, each bucket a
-sorted list; a Fenwick tree over bucket counts answers prefix-count queries.
-Insert, rank, select and quantile are all O(log B + bucket occupancy), which
-keeps million-member runs in the seconds range while staying exact (no
-discretization: buckets store the full float values).
+Members live in sorted runs that follow the members, not the value range: a
+run holding more than 2 * _LOAD members is split in half, so mass collapsed
+into a tiny interval spreads over as many runs as mass spread over [0, 1].
+`_tops[b]` is the largest member of run b, and no later run holds a smaller
+one; the last top is `inf`, so `bisect_left(_tops, x)` always names x's run,
+in the empty group (one empty run) too.  A Fenwick tree over the run lengths
+answers prefix counts and is rebuilt in O(R) at a split.  With R ~ k / _LOAD
+runs: insert O(log R + _LOAD), select and counts O(log R + log _LOAD), min
+and max O(1), the constructor one sort.  Exact: runs hold the full floats.
 
 Growing groups never shrink, so no deletion is provided.
 """
@@ -12,23 +16,33 @@ Growing groups never shrink, so no deletion is provided.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
+from itertools import accumulate
+from math import inf
 
-_NBUCKETS = 4096
+_LOAD = 512  # runs are cut to this length; one is split past twice it
 
 
 class GroupState:
     """Multiset of opinions in [0, 1] with logarithmic rank/select/quantile."""
 
-    __slots__ = ("_tree", "_buckets", "_size", "_min", "_max")
+    __slots__ = ("_runs", "_tops", "_tree", "_size")
 
     def __init__(self, values=()):
-        self._tree = [0] * (_NBUCKETS + 1)
-        self._buckets: list[list[float]] = [[] for _ in range(_NBUCKETS)]
-        self._size = 0
-        self._min = None
-        self._max = None
-        for v in values:
-            self.insert(v)
+        vals = sorted(values)
+        for v in vals:
+            if not 0.0 <= v <= 1.0:
+                raise ValueError(f"opinion {v!r} outside [0, 1]")
+        runs = [vals[i:i + _LOAD] for i in range(0, len(vals), _LOAD)]
+        self._runs = runs or [[]]
+        self._tops = [run[-1] for run in runs[:-1]] + [inf]
+        self._size = len(vals)
+        self._reindex()
+
+    def _reindex(self) -> None:
+        """Rebuild the Fenwick tree over the run lengths in O(#runs): node i
+        counts the members of runs i & (i - 1) to i - 1."""
+        sums = list(accumulate(map(len, self._runs), initial=0))
+        self._tree = [s - sums[i & (i - 1)] for i, s in enumerate(sums)]
 
     @property
     def size(self) -> int:
@@ -41,41 +55,41 @@ class GroupState:
         """Add one opinion; duplicates are kept."""
         if not 0.0 <= x <= 1.0:
             raise ValueError(f"opinion {x!r} outside [0, 1]")
-        nb = _NBUCKETS
-        b = int(x * nb)
-        if b >= nb:
-            b = nb - 1
-        insort(self._buckets[b], x)
+        b = bisect_left(self._tops, x)
+        run = self._runs[b]
+        insort(run, x)  # x <= _tops[b], so the top is unchanged
         self._size += 1
         tree = self._tree
+        n = len(tree)
         i = b + 1
-        while i <= nb:
+        while i < n:
             tree[i] += 1
             i += i & (-i)
-        if self._min is None or x < self._min:
-            self._min = x
-        if self._max is None or x > self._max:
-            self._max = x
+        if len(run) > 2 * _LOAD:
+            self._runs.insert(b + 1, run[_LOAD:])
+            del run[_LOAD:]
+            self._tops.insert(b, run[-1])
+            self._reindex()
 
     def select(self, rank: int) -> float:
         """rank-th smallest member, 1-based."""
         if not 1 <= rank <= self._size:
             raise IndexError(f"rank {rank} out of range 1..{self._size}")
         tree = self._tree
-        nb = _NBUCKETS
+        n = len(tree) - 1
         idx = 0
-        mask = 1 << (nb.bit_length() - 1)
+        mask = 1 << (n.bit_length() - 1)
         rem = rank
         while mask:
             nxt = idx + mask
-            if nxt <= nb and tree[nxt] < rem:
+            if nxt <= n and tree[nxt] < rem:
                 rem -= tree[nxt]
                 idx = nxt
             mask >>= 1
-        return self._buckets[idx][rem - 1]
+        return self._runs[idx][rem - 1]
 
     def _prefix(self, b: int) -> int:
-        """Count of members in buckets 0..b-1."""
+        """Count of members in runs 0..b-1."""
         tree = self._tree
         total = 0
         while b > 0:
@@ -85,23 +99,13 @@ class GroupState:
 
     def count_lt(self, x: float) -> int:
         """Members strictly below x."""
-        nb = _NBUCKETS
-        b = int(x * nb)
-        if b >= nb:
-            b = nb - 1
-        if b < 0:
-            return 0
-        return self._prefix(b) + bisect_left(self._buckets[b], x)
+        b = bisect_left(self._tops, x)
+        return self._prefix(b) + bisect_left(self._runs[b], x)
 
     def count_le(self, x: float) -> int:
         """Members at or below x."""
-        nb = _NBUCKETS
-        b = int(x * nb)
-        if b >= nb:
-            b = nb - 1
-        if b < 0:
-            return 0
-        return self._prefix(b) + bisect_right(self._buckets[b], x)
+        b = bisect_right(self._tops, x)
+        return self._prefix(b) + bisect_right(self._runs[b], x)
 
     def count_interval(self, lo: float, hi: float, bounds: str = "closed") -> int:
         """Members in [lo, hi] (closed) or [lo, hi) (half_open)."""
@@ -140,16 +144,16 @@ class GroupState:
     def min(self) -> float:
         if self._size == 0:
             raise ValueError("min of empty group")
-        return self._min
+        return self._runs[0][0]
 
     def max(self) -> float:
         if self._size == 0:
             raise ValueError("max of empty group")
-        return self._max
+        return self._runs[-1][-1]
 
     def values(self) -> list[float]:
         """All members in sorted order (O(k); for checkpoints and tests)."""
         out = []
-        for b in self._buckets:
-            out.extend(b)
+        for run in self._runs:
+            out.extend(run)
         return out

@@ -215,21 +215,16 @@ def _progress_start_group(q_target: float, sigma: float, t: int,
                           rng: Rng) -> GroupState:
     """Group with its driving quantile at q_target and at least t members
     inside each sigma-neighborhood, built from four uniform blocks."""
-    g = GroupState()
-    u = rng.uniform_block(4 * t)
-    # t members well below, t in [q-sigma, q], t in [q, q+sigma], t above
+    u = rng.uniform_block(4 * t).tolist()
     lo_end = max(q_target - sigma, 0.0)
     hi_end = min(q_target + sigma, 1.0)
-    for i in range(t):
-        g.insert(u[i] * lo_end * 0.98)
-    for i in range(t):
-        g.insert(lo_end + (u[t + i]) * (q_target - lo_end))
-    for i in range(t):
-        g.insert(q_target + u[2 * t + i] * (hi_end - q_target))
-    for i in range(t):
-        g.insert(hi_end + 1e-9 + u[3 * t + i] * (1.0 - hi_end - 2e-9))
-    g.insert(q_target)
-    return g
+    # t members well below, t in [q-sigma, q], t in [q, q+sigma], t above
+    return GroupState(
+        [x * lo_end * 0.98 for x in u[:t]]
+        + [lo_end + x * (q_target - lo_end) for x in u[t:2 * t]]
+        + [q_target + x * (hi_end - q_target) for x in u[2 * t:3 * t]]
+        + [hi_end + 1e-9 + x * (1.0 - hi_end - 2e-9) for x in u[3 * t:]]
+        + [q_target])
 
 
 def quantile_progress_test(rule: RuleSpec, ctx: OracleContext,

@@ -421,9 +421,11 @@ def test_sweep_axis_and_failure_recorded():
     assert null_cell["axis"] is None and null_cell["passed"]
     assert null_cell["summary"]["accepted"] == 300
     assert cell_20["summary"]["raw_steps"] == 20 and not cell_20["passed"]
-    # an empty axis has nothing to sweep
+    # an empty axis or seed list has nothing to sweep
     with pytest.raises(ConfigError, match="^axis: "):
         sweep(base, {"raw_budget": []}, seeds=[1])
+    with pytest.raises(ConfigError, match="^seeds: "):
+        sweep(base, {"raw_budget": [None]}, seeds=[])
 
 
 def test_cli_main_verify(capsys):

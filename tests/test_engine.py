@@ -69,9 +69,9 @@ def test_replay_determinism():
     g1 = GroupState([0.25])
     g2 = GroupState([0.25])
     t1 = run(g1, RuleSpec("majority"), Rng(77), accepted_target=2000,
-             tau=0.5, log_admitted=True)
+             log_admitted=True)
     t2 = run(g2, RuleSpec("majority"), Rng(77), accepted_target=2000,
-             tau=0.5, log_admitted=True)
+             log_admitted=True)
     assert t1.admitted == t2.admitted
     assert t1.checkpoints == t2.checkpoints
     assert g1.values() == g2.values()
@@ -99,7 +99,7 @@ def test_checkpoints_strictly_increasing_and_geometric():
 
 def test_gap_recorded_against_tau():
     g = GroupState([0.25])
-    traj = run(g, RuleSpec("majority"), Rng(11), accepted_target=200, tau=0.5)
+    traj = run(g, RuleSpec("majority"), Rng(11), accepted_target=200)
     for c in traj.checkpoints:
         assert c.gap == abs(c.q_p - 0.5)
 
@@ -227,7 +227,7 @@ def test_jump_mode_admitted_distribution_matches():
 
 
 def _step_loop(group, rule, rng, accepted_target=None, raw_budget=None,
-               tau=None, extra_quantiles=()):
+               extra_quantiles=()):
     """Reference for `run` in steps mode: a plain loop over `step`,
     checkpointed on the same geometric schedule."""
     goal = None if accepted_target is None else group.size + accepted_target
@@ -235,7 +235,7 @@ def _step_loop(group, rule, rng, accepted_target=None, raw_budget=None,
 
     def record():
         q = None if rule.p is None else group.quantile(rule.p)
-        gap = None if q is None or tau is None else abs(q - tau)
+        gap = None if q is None or rule.tau is None else abs(q - rule.tau)
         checkpoints.append(Checkpoint(
             group.size, raw, q, gap, group.min(), group.max(),
             {ep: group.quantile(ep) for ep in extra_quantiles}))
@@ -266,13 +266,11 @@ def _step_loop(group, rule, rng, accepted_target=None, raw_budget=None,
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_run_matches_step_loop(rule, initial, budget, seed):
     # the steps-mode driver takes the same draws and decisions as step()
-    tau = 0.5 if rule.kind == "majority" else None
     extra = (0.25, 0.9)
     traj = run(GroupState(initial), rule, Rng(seed), log_admitted=True,
-               tau=tau, extra_quantiles=extra, **budget)
+               extra_quantiles=extra, **budget)
     ref_cks, ref_admitted, ref_raw = _step_loop(
-        GroupState(initial), rule, Rng(seed), tau=tau,
-        extra_quantiles=extra, **budget)
+        GroupState(initial), rule, Rng(seed), extra_quantiles=extra, **budget)
     assert traj.checkpoints == ref_cks
     assert traj.admitted == ref_admitted
     assert traj.raw_steps == ref_raw

@@ -1,12 +1,15 @@
 """Order-statistic group: exactness against a brute-force sorted array."""
 
+import math
+import random
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from admitlab.group import GroupState
+from admitlab.group import _LOAD, GroupState
 
 
 class SortedOracle:
@@ -64,6 +67,13 @@ def test_insert_domain_error():
         g.insert(1.5)
     with pytest.raises(ValueError):
         g.insert(-0.1)
+    with pytest.raises(ValueError):
+        g.insert(math.nan)
+    # the constructor checks every value, wherever the sort puts it
+    for bad in ([math.nan], [0.2, math.nan, 0.9], [0.5, 1.5], [-0.1, 0.2],
+                [0.3] * 3 * _LOAD + [math.nextafter(1.0, 2.0)]):
+        with pytest.raises(ValueError):
+            GroupState(bad)
 
 
 def test_select_basic():
@@ -199,3 +209,46 @@ def test_min_max_tracking():
     g.insert(0.9)
     assert g.min() == 0.2
     assert g.max() == 0.9
+
+
+def _split_orders(name, n):
+    rnd = random.Random(name)
+    if name == "ascending":
+        return [i / n for i in range(n)]
+    if name == "descending":
+        return [1.0 - i / n for i in range(n)]
+    if name == "all-equal":
+        return [0.3] * n
+    if name == "collapsed":  # 97% of the mass below 2^-40
+        return [rnd.random() * 2.0 ** -40 if rnd.random() < 0.97
+                else rnd.random() for _ in range(n)]
+    return [round(rnd.random(), 2) for _ in range(n)]
+
+
+def _assert_matches_sorted(g, ref):
+    assert g.size == len(ref)
+    assert g.values() == ref
+    assert [g.select(r) for r in range(1, len(ref) + 1)] == ref
+    assert (g.min(), g.max()) == (ref[0], ref[-1])
+    probes = [-0.5, 0.0, 1.0, 1.5]
+    for v in set(ref):
+        probes += [v, math.nextafter(v, -1.0), math.nextafter(v, 2.0)]
+    for x in probes:
+        assert g.count_lt(x) == bisect_left(ref, x)
+        assert g.count_le(x) == bisect_right(ref, x)
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "all-equal",
+                                   "collapsed", "rounded"])
+def test_split_runs_match_sorted_list(order):
+    # one insert at a time, past several run splits; a bulk-built group of
+    # the same values answers the same
+    values = _split_orders(order, 10 * _LOAD)
+    g = GroupState()
+    for i, x in enumerate(values, 1):
+        g.insert(x)
+        if i % (_LOAD - 1) == 0 or i == len(values):
+            ref = sorted(values[:i])
+            _assert_matches_sorted(g, ref)
+            _assert_matches_sorted(GroupState(values[:i]), ref)
+    assert len(g._runs) >= 5

@@ -2,10 +2,14 @@
 
 import ast
 import pathlib
+import re
+import sys
+import tomllib
 
 import admitlab
 
 SRC = pathlib.Path(admitlab.__file__).parent
+PYPROJECT = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
 def test_no_assert_statements_in_src():
@@ -44,3 +48,22 @@ def test_every_export_resolves():
                if not hasattr(admitlab, name)]
     assert len(admitlab.__all__) > 10
     assert not missing, f"stale names in admitlab.__all__: {missing}"
+
+
+def test_third_party_imports_are_declared():
+    # a module installed here but missing from `dependencies` would import
+    # in this environment and fail on a clean install
+    project = tomllib.loads(PYPROJECT.read_text())["project"]
+    declared = {re.split(r"[\s<>=!~;\[]", dep, maxsplit=1)[0].lower()
+                .replace("-", "_") for dep in project["dependencies"]}
+    imported = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                imported |= {a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"admitlab"}
+    assert "numpy" in third_party
+    assert third_party <= declared, \
+        f"imported but not in pyproject dependencies: {third_party - declared}"
