@@ -32,6 +32,7 @@ Two sampling modes are available:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -83,12 +84,33 @@ def _accepted_veto_value(q: float, p_acc: float, v: float) -> float:
     From the geometry of the acceptance region {(y1, y2): (y1+y2)/2 < q}:
     the admitted candidate is the pair maximum m, with P(m <= x) equal to
     x^2 below q and x^2 - 2(x-q)^2 above, normalized by the total
-    acceptance probability p_acc.
+    acceptance probability p_acc.  Once p_acc = 2q^2 is subnormal or zero,
+    the same inverse is taken in its scale-free form.
     """
+    if p_acc < sys.float_info.min:
+        return q * math.sqrt(2.0 * v) if v <= 0.5 else \
+            2.0 * q - q * math.sqrt(2.0 - 2.0 * v)
     vp = v * p_acc
     if vp <= q * q:
         return math.sqrt(vp)
     return 2.0 * q - math.sqrt(max(0.0, 2.0 * q * q - vp))
+
+
+def _rejections(q: float, p_acc: float, u: float) -> int:
+    """Rejected steps before an acceptance of probability p_acc, by
+    inversion of 1 - u.  Past the float range (p_acc = 2q^2 tiny) the count
+    is taken from its base-2 logarithm and stays an exact int."""
+    if p_acc >= sys.float_info.min:
+        # failures before the first success (uniform() < 1: the log is finite)
+        skipped = math.log(1.0 - u) / math.log1p(-p_acc)
+        if skipped < math.inf:
+            return int(skipped)
+    e = -math.log(1.0 - u)
+    if e == 0.0:
+        return 0
+    bits = math.log2(e) - 1.0 - 2.0 * math.log2(q)  # log2(e / (2 q^2))
+    shift = max(int(bits) - 60, 0)
+    return int(2.0 ** (bits - shift)) << shift
 
 
 def run(initial: GroupState, rule: RuleSpec, rng: Rng,
@@ -142,14 +164,13 @@ def run(initial: GroupState, rule: RuleSpec, rng: Rng,
         while (goal is None or group.size < goal) and \
               (raw_budget is None or raw < raw_budget):
             q = quantile(p)
-            p_acc = accept_any_veto(q)
-            if p_acc <= 0.0:
+            if q <= 0.0:
                 break  # stuck process: report exhaustion below
+            p_acc = accept_any_veto(q)
             u = uniform()
             if p_acc < 1.0:
-                # failures before the first success, then the success itself
-                # (uniform() < 1, so the log is finite)
-                skipped = int(math.log(1.0 - u) / math.log1p(-p_acc))
+                # rejections, then the acceptance itself
+                skipped = _rejections(q, p_acc, u)
                 if raw_budget is not None and raw + skipped + 1 > raw_budget:
                     raw = raw_budget
                     break

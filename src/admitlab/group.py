@@ -5,27 +5,30 @@ run holding more than 2 * _LOAD members is split in half, so mass collapsed
 into a tiny interval spreads over as many runs as mass spread over [0, 1].
 `_tops[b]` is the largest member of run b, and no later run holds a smaller
 one; the last top is `inf`, so `bisect_left(_tops, x)` always names x's run,
-in the empty group (one empty run) too.  A Fenwick tree over the run lengths
-answers prefix counts and is rebuilt in O(R) at a split.  With R ~ k / _LOAD
-runs: insert O(log R + _LOAD), select and counts O(log R + log _LOAD), min
-and max O(1), the constructor one sort.  Exact: runs hold the full floats.
-
-Growing groups never shrink, so no deletion is provided.
+in the empty group (one empty run) too.  A finger, run `_b` with `_start`
+members before it, stays where the last `select` stopped: the driving rank
+ceil(p * k) moves by 0 or 1 per admission, so `select` walks from it one run
+at a time.  `_sums`, the prefix counts of the run lengths, is dropped by an
+insert and rebuilt by the next count: counts come in bursts (checkpoints,
+density monitors, the progress test).  With R ~ k / _LOAD runs: insert
+O(log R + _LOAD), select O(1 + runs walked), counts O(log R + log _LOAD) plus
+one O(R) rebuild after inserts, min and max O(1), the constructor one sort.
+Exact: runs hold the full floats.  Groups never shrink: no deletion.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import inf
 
 _LOAD = 512  # runs are cut to this length; one is split past twice it
 
 
 class GroupState:
-    """Multiset of opinions in [0, 1] with logarithmic rank/select/quantile."""
+    """Multiset of opinions in [0, 1] with rank counts and a finger select."""
 
-    __slots__ = ("_runs", "_tops", "_tree", "_size")
+    __slots__ = ("_runs", "_tops", "_size", "_b", "_start", "_sums")
 
     def __init__(self, values=()):
         vals = sorted(values)
@@ -36,13 +39,8 @@ class GroupState:
         self._runs = runs or [[]]
         self._tops = [run[-1] for run in runs[:-1]] + [inf]
         self._size = len(vals)
-        self._reindex()
-
-    def _reindex(self) -> None:
-        """Rebuild the Fenwick tree over the run lengths in O(#runs): node i
-        counts the members of runs i & (i - 1) to i - 1."""
-        sums = list(accumulate(map(len, self._runs), initial=0))
-        self._tree = [s - sums[i & (i - 1)] for i, s in enumerate(sums)]
+        self._b = self._start = 0
+        self._sums = None
 
     @property
     def size(self) -> int:
@@ -59,43 +57,37 @@ class GroupState:
         run = self._runs[b]
         insort(run, x)  # x <= _tops[b], so the top is unchanged
         self._size += 1
-        tree = self._tree
-        n = len(tree)
-        i = b + 1
-        while i < n:
-            tree[i] += 1
-            i += i & (-i)
+        self._sums = None
+        if b < self._b:  # the new member lies before the finger's run
+            self._start += 1
         if len(run) > 2 * _LOAD:
             self._runs.insert(b + 1, run[_LOAD:])
             del run[_LOAD:]
             self._tops.insert(b, run[-1])
-            self._reindex()
+            if b < self._b:  # an earlier run split; the finger's own keeps it
+                self._b += 1
 
     def select(self, rank: int) -> float:
         """rank-th smallest member, 1-based."""
         if not 1 <= rank <= self._size:
             raise IndexError(f"rank {rank} out of range 1..{self._size}")
-        tree = self._tree
-        n = len(tree) - 1
-        idx = 0
-        mask = 1 << (n.bit_length() - 1)
-        rem = rank
-        while mask:
-            nxt = idx + mask
-            if nxt <= n and tree[nxt] < rem:
-                rem -= tree[nxt]
-                idx = nxt
-            mask >>= 1
-        return self._runs[idx][rem - 1]
+        runs, b, start = self._runs, self._b, self._start
+        while rank <= start:
+            b -= 1
+            start -= len(runs[b])
+        run = runs[b]
+        while rank > start + len(run):
+            start += len(run)
+            b += 1
+            run = runs[b]
+        self._b, self._start = b, start
+        return run[rank - start - 1]
 
     def _prefix(self, b: int) -> int:
         """Count of members in runs 0..b-1."""
-        tree = self._tree
-        total = 0
-        while b > 0:
-            total += tree[b]
-            b &= b - 1
-        return total
+        if self._sums is None:
+            self._sums = list(accumulate(map(len, self._runs), initial=0))
+        return self._sums[b]
 
     def count_lt(self, x: float) -> int:
         """Members strictly below x."""
@@ -153,7 +145,4 @@ class GroupState:
 
     def values(self) -> list[float]:
         """All members in sorted order (O(k); for checkpoints and tests)."""
-        out = []
-        for run in self._runs:
-            out.extend(run)
-        return out
+        return list(chain.from_iterable(self._runs))

@@ -211,19 +211,25 @@ class ProgressResult:
     details: list  # (gained_members, gap_before, gap_after) per trial
 
 
-def _progress_start_group(q_target: float, sigma: float, t: int,
+def _progress_start_group(q_target: float, sigma: float, t: int, p: float,
                           rng: Rng) -> GroupState:
-    """Group with its driving quantile at q_target and at least t members
-    inside each sigma-neighborhood, built from four uniform blocks."""
-    u = rng.uniform_block(4 * t).tolist()
+    """Group with its p-quantile at q_target and t members in each
+    sigma-neighborhood, built from one uniform block: `a` members well
+    below and the rest above, sized so that rank ceil(p * k) is q_target
+    (a = t of k = 4t + 1 at p = 1/2)."""
+    num, den = p.as_integer_ratio()
+    if not 0 < num < den:
+        raise ValueError(f"no start group puts the {p!r}-quantile inside")
+    k = max(4 * t + 1, t * den // num + 1, -(-t * den // (den - num)))
+    a = -(-num * k // den) - t - 1
+    u = rng.uniform_block(k - 1).tolist()
     lo_end = max(q_target - sigma, 0.0)
     hi_end = min(q_target + sigma, 1.0)
-    # t members well below, t in [q-sigma, q], t in [q, q+sigma], t above
     return GroupState(
-        [x * lo_end * 0.98 for x in u[:t]]
-        + [lo_end + x * (q_target - lo_end) for x in u[t:2 * t]]
-        + [q_target + x * (hi_end - q_target) for x in u[2 * t:3 * t]]
-        + [hi_end + 1e-9 + x * (1.0 - hi_end - 2e-9) for x in u[3 * t:]]
+        [x * lo_end * 0.98 for x in u[:a]]
+        + [lo_end + x * (q_target - lo_end) for x in u[a:a + t]]
+        + [q_target + x * (hi_end - q_target) for x in u[a + t:a + 2 * t]]
+        + [hi_end + 1e-9 + x * (1.0 - hi_end - 2e-9) for x in u[a + 2 * t:]]
         + [q_target])
 
 
@@ -271,7 +277,7 @@ def quantile_progress_test(rule: RuleSpec, ctx: OracleContext,
 
     for trial in range(trials):
         sub = rng.split(trial)
-        group = _progress_start_group(q_start, sigma, t, sub)
+        group = _progress_start_group(q_start, sigma, t, rule.p, sub)
         q0 = group.quantile(rule.p)
         gap0 = abs(q0 - ctx.tau)
         # neighborhood occupancy is part of the proposition's hypotheses

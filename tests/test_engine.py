@@ -145,11 +145,12 @@ def test_run_argument_validation():
             accepted_target=5, mode="jump")  # jump is veto-only
 
 
-@pytest.mark.parametrize("r, seed", [(0.9, 245), (0.95, 1)])
+@pytest.mark.parametrize("r, seed", [(0.9, 245), (0.95, 1), (0.999, 3)])
 def test_jump_mode_survives_vanishing_acceptance(r, seed):
     # acceptance near 1e-16 and below: these seeds hit ZeroDivisionError
     # (r=0.9 at 1,626 members, r=0.95 at 1,437) while the skip law used
-    # log(1 - p_acc), which rounds to log(1.0) = 0
+    # log(1 - p_acc), which rounds to log(1.0) = 0; at r=0.999 p_acc = 2q^2
+    # turns subnormal and the skip count overflowed a float at 1,994 members
     g = GroupState([1.0])
     traj = run(g, RuleSpec("veto", r=r), Rng(seed), accepted_target=3000,
                mode="jump")

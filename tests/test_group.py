@@ -2,7 +2,7 @@
 
 import math
 import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
 
 import pytest
@@ -252,3 +252,45 @@ def test_split_runs_match_sorted_list(order):
             _assert_matches_sorted(g, ref)
             _assert_matches_sorted(GroupState(values[:i]), ref)
     assert len(g._runs) >= 5
+
+
+@pytest.mark.parametrize("mass", ["spread", "collapsed", "all-equal"])
+def test_finger_matches_sorted_list(mass):
+    # the finger (_b, _start) must name a run and the members before it
+    # after every call: inserts land before, inside and after its run, that
+    # run and earlier ones split, selects walk from it to near and far
+    # ranks both ways, and counts read prefix sums refreshed after inserts
+    rnd = random.Random(f"finger-{mass}")
+    draw = {"spread": rnd.random,
+            "collapsed": lambda: rnd.random() * 2.0 ** -40,
+            "all-equal": lambda: 0.3}[mass]
+    ref = sorted(draw() for _ in range(3 * _LOAD))
+    g = GroupState(ref)
+    n = 12 * _LOAD
+    seen = set()
+    for i in range(n):
+        x = draw()
+        b, nruns = bisect_left(g._tops, x), len(g._runs)
+        where = "before" if b < g._b else "inside" if b == g._b else "after"
+        g.insert(x)
+        insort(ref, x)
+        seen.add(where if len(g._runs) == nruns else "split " + where)
+        assert g._start == sum(map(len, g._runs[:g._b]))
+        k = len(ref)
+        p = (0.5, 0.02, 0.98, 0.75)[4 * i // n]  # the driving rank's phase
+        ranks = [g.quantile_rank(p)]
+        if i % 97 == 0:
+            ranks += [k, rnd.randint(1, k), 1, g.quantile_rank(p)]
+        for r in ranks:
+            assert g.select(r) == ref[r - 1]
+            assert g._start == sum(map(len, g._runs[:g._b]))
+        if i % 5 == 0:
+            y = ref[rnd.randrange(k)]
+            for z in (y, math.nextafter(y, -1.0), math.nextafter(y, 2.0)):
+                assert g.count_lt(z) == bisect_left(ref, z)
+                assert g.count_le(z) == bisect_right(ref, z)
+    want = {"before", "inside", "split before", "split inside"}
+    if mass != "all-equal":  # equal members all join the first run
+        want |= {"after", "split after"}
+    assert want <= seen
+    assert g.values() == ref

@@ -1,6 +1,7 @@
 """Source-level guards over the admitlab package."""
 
 import ast
+import importlib
 import pathlib
 import re
 import sys
@@ -9,7 +10,8 @@ import tomllib
 import admitlab
 
 SRC = pathlib.Path(admitlab.__file__).parent
-PYPROJECT = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
 
 
 def test_no_assert_statements_in_src():
@@ -67,3 +69,53 @@ def test_third_party_imports_are_declared():
     assert "numpy" in third_party
     assert third_party <= declared, \
         f"imported but not in pyproject dependencies: {third_party - declared}"
+
+
+def _dotted(node):
+    """['a', 'b', 'c'] for the expression a.b.c, else None."""
+    names = []
+    while isinstance(node, ast.Attribute):
+        names.append(node.attr)
+        node = node.value
+    return [node.id] + names[::-1] if isinstance(node, ast.Name) else None
+
+
+def test_benchmark_api_resolves():
+    # perfbench reaches admitlab as lab.<layer>.<name>, through aliases and
+    # `from admitlab` imports, and its Tracer.install wraps attributes by
+    # name; a deleted name would first fail there, at benchmark time
+    wanted = []
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        alias = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module and \
+                    node.module.split(".")[0] == "admitlab":
+                base = ["lab"] + node.module.split(".")[1:]
+                alias |= {a.asname or a.name: base + [a.name]
+                          for a in node.names}
+            elif isinstance(node, ast.Assign) and \
+                    (_dotted(node.value) or [None])[0] == "lab":
+                alias |= {t.id: _dotted(node.value) for t in node.targets
+                          if isinstance(t, ast.Name)}
+        for node in ast.walk(tree):
+            chain = _dotted(node)
+            if chain and chain[0] in alias:
+                chain = alias[chain[0]] + chain[1:]
+            if chain and chain[0] == "lab" and len(chain) > 1:
+                wanted.append((path.name, chain))
+            if isinstance(node, ast.Call) and len(node.args) > 1:
+                owner, attr = _dotted(node.args[0]) or [], node.args[1]
+                if owner[:1] == ["lab"] and len(owner) > 1 and \
+                        isinstance(attr, ast.Constant):  # a Tracer wrap
+                    wanted.append((path.name, owner + [attr.value]))
+    missing = []
+    for where, chain in wanted:
+        try:
+            obj = importlib.import_module(f"admitlab.{chain[1]}")
+            for name in chain[2:]:
+                obj = getattr(obj, name)
+        except (ImportError, AttributeError):
+            missing.append(f"{where}: {'.'.join(chain)}")
+    assert sum(where == "spans.py" for where, _ in wanted) > 10
+    assert not missing, f"perfbench uses names admitlab lacks: {missing}"

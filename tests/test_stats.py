@@ -6,7 +6,8 @@ import random
 import pytest
 
 from admitlab.group import GroupState
-from admitlab.oracles import f_majority, majority_context, triangle_cdf
+from admitlab.oracles import (f_majority, majority_context, triangle_cdf,
+                              veto_context)
 from admitlab.rng import Rng
 from admitlab.rules import RuleSpec
 from admitlab.stats import (
@@ -227,10 +228,26 @@ def test_progress_underfilled_neighborhood_raises(monkeypatch):
     from admitlab import stats
 
     monkeypatch.setattr(stats, "_progress_start_group",
-                        lambda q, sigma, t, rng: GroupState([0.1, q, 0.9]))
+                        lambda q, sigma, t, p, rng: GroupState([0.1, q, 0.9]))
     with pytest.raises(ValueError, match="sigma-neighborhood"):
         quantile_progress_test(RuleSpec("majority"), majority_context(),
                                0.1, 0.002, 100, 3, Rng(19))
+
+
+def test_progress_start_group_places_the_driving_quantile():
+    # veto r=0.25 drives the 0.75-quantile: the start group must put that
+    # quantile, not the median, at q_start, or the sigma-neighbourhood
+    # hypothesis fails on trial 0 on both sides
+    from admitlab import stats
+
+    rule = RuleSpec("veto", r=0.25)
+    ctx = veto_context(rule.p)
+    for side, q_start in (("right", ctx.tau - 0.1), ("left", ctx.tau + 0.1)):
+        g = stats._progress_start_group(q_start, 0.002, 500, rule.p, Rng(22))
+        assert g.quantile(0.75) == q_start
+        res = quantile_progress_test(rule, ctx, 0.1, 0.002, 500, 4, Rng(23),
+                                     side=side)
+        assert res.trials == len(res.details) == 4
 
 
 def test_progress_smoke_right_and_left():
