@@ -3,7 +3,7 @@
 from .group import GroupState
 from .rng import Rng
 from .rules import CandidatePair, RuleSpec, decide
-from .engine import Trajectory, run, step
+from .engine import Trajectory, run
 from .oracles import (
     OracleContext,
     accept_any_veto,
@@ -38,7 +38,6 @@ __all__ = [
     "majority_context",
     "phi1_bound",
     "run",
-    "step",
     "tau",
     "triangle_cdf",
     "triangle_pdf",

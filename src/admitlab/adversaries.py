@@ -500,8 +500,10 @@ def committee_fuzz(n: int, ell: int, accepted_target: int, rng: Rng,
     `_VALUE_BITS`-bit integers and at most `_EPOCH_CAP` accepted steps,
     until `accepted_target` accepted replacements have been checked.
     """
-    report = FuzzReport(0, 0, 0)
     hull = 1 << _VALUE_BITS
+    if n > hull:
+        raise ValueError(f"n={n} exceeds the {hull} distinct profile values")
+    report = FuzzReport(0, 0, 0)
     while report.accepted < accepted_target:
         vals: set = set()
         while len(vals) < n:

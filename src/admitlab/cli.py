@@ -197,9 +197,9 @@ def _grow(doc: dict) -> dict:
         if not _is_number(gap_bound) or not gap_bound > 0:
             raise ConfigError("assert_final_gap_below",
                               "must be a positive number")
-        if rule.kind == "consensus":
+        if rule.tau is None:
             raise ConfigError("assert_final_gap_below",
-                              "consensus has no fixed-point gap")
+                              "the rule has no fixed-point gap")
         gap_bound = float(gap_bound)
     return {"rule": rule, "initial": _parse_initial(doc.get("initial"), rule),
             "accepted": accepted, "raw_budget": raw_budget, "mode": mode,
@@ -213,7 +213,7 @@ def _parse_rule(node) -> RuleSpec:
     if not isinstance(node, dict):
         raise ConfigError("rule", "must be an object or rule name")
     kind = node.get("kind")
-    if kind not in _RULES:
+    if not isinstance(kind, str) or kind not in _RULES:
         raise ConfigError("rule.kind", f"unknown rule kind {kind!r}")
     allowed = {"kind", "r"} if kind == "veto" else {"kind"}
     unknown = sorted(node.keys() - allowed)
@@ -244,7 +244,9 @@ def _parse_initial(node, rule: RuleSpec) -> list:
 
 
 def _committee(doc: dict) -> dict:
-    n = _int_field(doc, "n", minimum=3, required=True)
+    # the fuzz draws distinct values from 2^_VALUE_BITS
+    n = _int_field(doc, "n", minimum=3,
+                   maximum=1 << adversaries._VALUE_BITS, required=True)
     if n % 2 == 0:
         # drift/potential monitors are stated for odd sizes only
         raise ConfigError("n", "monitored committee runs require odd n")
@@ -374,8 +376,7 @@ def _run_grow(cfg: ExperimentConfig):
     verdicts = {"completed": not traj.exhausted}
     last = traj.checkpoints[-1]
     if cfg.assert_final_gap_below is not None:
-        verdicts["final_gap_below"] = (last.gap is not None and
-                                       last.gap <= cfg.assert_final_gap_below)
+        verdicts["final_gap_below"] = last.gap <= cfg.assert_final_gap_below
     summary = {"k": last.k, "raw_steps": traj.raw_steps,
                "accepted": traj.accepted, "final_q_p": last.q_p,
                "final_gap": last.gap, "x1": last.x1, "xk": last.xk,

@@ -10,8 +10,10 @@ Two sampling modes are available:
   per raw step and applies the rule's kernel from `rules.kernel`, its
   decision on the cached summary (median, extremes or a quantile), which is
   re-read only after a member joins.  The decision returns the opinion it
-  admits, or None when nobody joins.  The driver takes the same draws and
-  decisions as a loop over `step`.  The draws come in buffers from
+  admits, or None when nobody joins.  It takes the same draws and decisions
+  as the per-call reference in the tests (`tests/test_engine.py`
+  `_step_loop`: two `uniform()` calls per step, a plain sorted list).  The
+  draws come in buffers from
   `Rng.uniform_block`, `need = min(_CHUNK_PAIRS, goal - size, budget - raw)`
   pairs at a time.  A step takes exactly two draws and admits at most one
   member, so the run is certain to last at least `need` more steps and every
@@ -39,7 +41,7 @@ from typing import Optional
 from .group import GroupState
 from .oracles import accept_any_veto
 from .rng import Rng
-from .rules import CandidatePair, RuleSpec, decide, kernel
+from .rules import RuleSpec, kernel
 
 _CHUNK_PAIRS = 32768  # most candidate pairs the steps driver draws at once
 
@@ -62,15 +64,6 @@ class Trajectory:
     accepted: int
     admitted: Optional[list] = None   # admitted opinions, when logged
     exhausted: bool = False           # raw budget ran out before target
-
-
-def step(group: GroupState, rule: RuleSpec, rng: Rng) -> Optional[float]:
-    """One raw step: draw two uniforms, decide on the sorted pair, insert
-    and return the admitted opinion, or None when nobody joins."""
-    y = decide(rule, group, CandidatePair(rng.uniform(), rng.uniform()))
-    if y is not None:
-        group.insert(y)
-    return y
 
 
 def _next_checkpoint(k: int) -> int:

@@ -85,15 +85,16 @@ class Rng:
         """`n` uniforms as a float64 array, same stream as repeated uniform().
 
         From _TABLE_MIN draws on, whole blocks of _BLOCK draws come from
-        `_u64_blocks` and only the tail is stepped one draw at a time.  The
-        outputs and the final state equal those of n calls to next_u64().
+        `_u64_blocks`; the rest are `next_u64()` calls.  The outputs and the
+        final state equal those of n calls to next_u64().
         """
-        if n < _TABLE_MIN:
-            raw = self._u64_steps(n)
-        else:
-            raw = self._u64_blocks(n // _BLOCK)
-            if n % _BLOCK:
-                raw = np.concatenate([raw, self._u64_steps(n % _BLOCK)])
+        blocks = n // _BLOCK if n >= _TABLE_MIN else 0
+        raw = self._u64_blocks(blocks) if blocks else np.empty(0, np.uint64)
+        calls = n - blocks * _BLOCK
+        if calls:
+            next_u64 = self.next_u64
+            raw = np.concatenate([raw, np.fromiter(
+                (next_u64() for _ in range(calls)), np.uint64, calls)])
         return (raw >> np.uint64(11)).astype(np.float64) * _INV53
 
     def _u64_blocks(self, blocks: int) -> np.ndarray:
@@ -128,23 +129,6 @@ class Rng:
         out |= x
         out *= np.uint64(9)
         return out
-
-    def _u64_steps(self, n: int) -> np.ndarray:
-        """`n` raw outputs as uint64, one generator step at a time."""
-        s0, s1, s2, s3 = self.s0, self.s1, self.s2, self.s3
-        out = [0] * n
-        for i in range(n):
-            x = (s1 * 5) & _MASK
-            out[i] = ((((x << 7) | (x >> 57)) & _MASK) * 9) & _MASK
-            t = (s1 << 17) & _MASK
-            s2 ^= s0
-            s3 ^= s1
-            s1 ^= s2
-            s0 ^= s3
-            s2 ^= t
-            s3 = ((s3 << 45) | (s3 >> 19)) & _MASK
-        self.s0, self.s1, self.s2, self.s3 = s0, s1, s2, s3
-        return np.array(out, dtype=np.uint64)
 
     def split(self, index: int) -> "Rng":
         """Independent child stream for trial `index` (deterministic)."""

@@ -103,8 +103,10 @@ def _frozen_step_values(rule: RuleSpec, summary: float, trials: int,
             m = min(block, trials - have)
             u = rng.uniform_block(2 * m)
             a, b = u[0::2], u[1::2]
+            da, db = np.abs(summary - a), np.abs(summary - b)
+            # an exact tie admits the smaller draw, as majority_decide does
             out[have:have + m] = np.where(
-                np.abs(summary - a) <= np.abs(summary - b), a, b)
+                (da < db) | ((da == db) & (a < b)), a, b)
             have += m
         return out
     if rule.kind == "veto":
@@ -251,6 +253,8 @@ def quantile_progress_test(rule: RuleSpec, ctx: OracleContext,
     """
     if side not in ("right", "left"):
         raise ValueError("side must be 'right' or 'left'")
+    if ctx.p != rule.p:
+        raise ValueError(f"context p={ctx.p!r} is not the rule's p={rule.p!r}")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     gaps = gap_functions(ctx, start_gap)

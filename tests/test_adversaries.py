@@ -303,6 +303,16 @@ def test_committee_fuzz_pinned(n, ell, consensus, seed):
         _FUZZ_PINS[(n, ell, consensus, seed)]
 
 
+def test_committee_fuzz_rejects_n_beyond_its_values():
+    # distinct values come from 2^24 integers: a larger profile never fills,
+    # so the fuzz refuses it before it draws anything
+    rng = Rng(1)
+    before = rng.state()
+    with pytest.raises(ValueError, match="distinct"):
+        committee_fuzz(2 ** 24 + 1, 0, 1, rng)
+    assert rng.state() == before
+
+
 # sha256 of repr((final values, final ids)) of criterion 12's immunity fuzz,
 # recorded from the fixed-committee copy of the loop before the merge
 _IMMUNITY_FUZZ_PINS = {

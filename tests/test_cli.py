@@ -185,6 +185,8 @@ def test_boolean_fields_take_only_json_booleans(base, key, value):
     ({"kind": "veto", "r": True}, "rule.r"),
     ({"kind": "bogus", "r": 0.3}, "rule.kind"),
     (["majority"], "rule"),
+    ({"kind": []}, "rule.kind"),
+    ({"kind": {}}, "rule.kind"),
 ])
 def test_rule_keys_checked(rule, key):
     with pytest.raises(ConfigError) as err:
@@ -216,16 +218,21 @@ _ONE_OF_EACH = {
 
 @pytest.mark.parametrize("name", sorted(_ONE_OF_EACH))
 def test_any_value_parses_or_is_a_config_error(name):
-    # whatever value a key holds, parsing returns or raises ConfigError:
-    # never a TypeError or other traceback
+    # whatever value a key holds, at the top level or inside an object such
+    # as grow's rule, parsing returns or raises ConfigError: never a
+    # TypeError or other traceback
     base = _ONE_OF_EACH[name]
     _parse(base)
-    for key in base:
-        for value in (None, True, -1, 0, 0.5, "x", [], [1], {}):
-            try:
-                _parse(dict(base, **{key: value}))
-            except ConfigError:
-                pass
+    values = (None, True, -1, 0, 0.5, "x", [], [1], {})
+    docs = [dict(base, **{key: v}) for key in base for v in values]
+    docs += [dict(base, **{key: dict(node, **{sub: v})})
+             for key, node in base.items() if isinstance(node, dict)
+             for sub in node for v in values]
+    for doc in docs:
+        try:
+            _parse(doc)
+        except ConfigError:
+            pass
 
 
 @pytest.mark.parametrize("command, doc, key", [
@@ -396,10 +403,24 @@ def test_sweep_majority_convergence_pass_fraction():
 
 
 def test_grow_gap_verdict_validation():
+    # only a rule with a fixed point tau has a final gap to bound: not
+    # consensus, and not veto with r >= 1/2
+    for rule, mode in (("consensus", "steps"),
+                       ({"kind": "veto", "r": 0.75}, "jump"),
+                       ({"kind": "veto", "r": 0.5}, "steps")):
+        with pytest.raises(ConfigError) as err:
+            _parse({"kind": "grow", "rule": rule, "initial": [0.4, 0.6],
+                    "mode": mode, "raw_budget": 10, "seed": 1,
+                    "assert_final_gap_below": 0.1})
+        assert err.value.path == "assert_final_gap_below"
+
+
+def test_committee_n_beyond_fuzz_values_rejected():
+    # the fuzz draws n distinct values from 2^24: a larger n never fills
+    _parse(dict(_COMMITTEE, n=2 ** 24 - 1))
     with pytest.raises(ConfigError) as err:
-        _parse({"kind": "grow", "rule": "consensus", "initial": [0.4, 0.6],
-                "raw_budget": 10, "seed": 1, "assert_final_gap_below": 0.1})
-    assert err.value.path == "assert_final_gap_below"
+        _parse(dict(_COMMITTEE, n=2 ** 24 + 1))
+    assert err.value.path == "n"
 
 
 def test_sweep_axis_and_failure_recorded():

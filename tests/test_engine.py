@@ -1,15 +1,18 @@
 """Growth engine: determinism, bookkeeping, rule-specific run structure."""
 
 import math
+from bisect import insort
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from admitlab.engine import _CHUNK_PAIRS, Checkpoint, _next_checkpoint, run, step
+from admitlab.engine import _CHUNK_PAIRS, Checkpoint, _next_checkpoint, run
 from admitlab.group import GroupState
 from admitlab.oracles import accept_any_veto
 from admitlab.rng import Rng
-from admitlab.rules import RuleSpec
+from admitlab.rules import (RuleSpec, consensus_decide, majority_decide,
+                            veto_decide)
 
 
 class StubRng:
@@ -21,6 +24,9 @@ class StubRng:
     def uniform(self):
         return self.values.pop(0)
 
+    def uniform_block(self, n):
+        return np.array([self.uniform() for _ in range(n)])
+
 
 def test_majority_admits_every_step():
     g = GroupState([0.25])
@@ -30,19 +36,27 @@ def test_majority_admits_every_step():
     assert g.size == 501
 
 
+def _one_step(g, rule, pair):
+    return run(g, rule, StubRng(pair), raw_budget=1, log_admitted=True)
+
+
 def test_consensus_forced_rejection():
+    # a pair split by the span admits nobody
     g = GroupState([0.4, 0.6])
-    assert step(g, RuleSpec("consensus"), StubRng([0.3, 0.7])) is None
+    traj = _one_step(g, RuleSpec("consensus"), [0.3, 0.7])
+    assert traj.raw_steps == 1 and traj.accepted == 0 and traj.admitted == []
     assert g.size == 2
 
 
 def test_step_returns_admitted_opinion():
-    # the sorted pair's pick is inserted and returned, 0.0 included
+    # the sorted pair's pick is inserted and logged, 0.0 included
     g = GroupState([1.0])
-    assert step(g, RuleSpec("veto", r=0.25), StubRng([0.9, 0.2])) == 0.9
+    traj = _one_step(g, RuleSpec("veto", r=0.25), [0.9, 0.2])
+    assert traj.admitted == [0.9] and traj.accepted == 1
     assert g.size == 2 and g.min() == 0.9
     g = GroupState([0.0])
-    assert step(g, RuleSpec("consensus"), StubRng([0.1, 0.0])) == 0.0
+    traj = _one_step(g, RuleSpec("consensus"), [0.1, 0.0])
+    assert traj.admitted == [0.0] and traj.accepted == 1
     assert g.size == 2 and g.max() == 0.0
 
 
@@ -227,32 +241,48 @@ def test_jump_mode_admitted_distribution_matches():
         assert ks < 0.02  # ~1.36*sqrt(2/n) at alpha=0.05 is 0.0136; slack for ties
 
 
-def _step_loop(group, rule, rng, accepted_target=None, raw_budget=None,
+_DECIDE = {"majority": majority_decide, "consensus": consensus_decide,
+           "veto": veto_decide}
+
+
+def _step_loop(members, rule, rng, accepted_target=None, raw_budget=None,
                extra_quantiles=()):
-    """Reference for `run` in steps mode: a plain loop over `step`,
-    checkpointed on the same geometric schedule."""
-    goal = None if accepted_target is None else group.size + accepted_target
+    """Per-call reference for `run` in steps mode, checkpointed on the same
+    geometric schedule.  It shares neither `run`'s kernel binding nor
+    GroupState: two `rng.uniform()` calls per raw step, the group as the
+    plain sorted list `members` (grown in place), every summary read from
+    it afresh at rank max(1, ceil(p * k)), and the rule's decision called
+    directly."""
+    goal = None if accepted_target is None else len(members) + accepted_target
     checkpoints, admitted, raw = [], [], 0
+    decide = _DECIDE[rule.kind]
+
+    def quantile(p):
+        return members[max(1, math.ceil(Fraction(p) * len(members))) - 1]
 
     def record():
-        q = None if rule.p is None else group.quantile(rule.p)
+        q = None if rule.p is None else quantile(rule.p)
         gap = None if q is None or rule.tau is None else abs(q - rule.tau)
         checkpoints.append(Checkpoint(
-            group.size, raw, q, gap, group.min(), group.max(),
-            {ep: group.quantile(ep) for ep in extra_quantiles}))
+            len(members), raw, q, gap, members[0], members[-1],
+            {ep: quantile(ep) for ep in extra_quantiles}))
 
     record()
-    next_ck = _next_checkpoint(group.size)
-    while (goal is None or group.size < goal) and \
+    next_ck = _next_checkpoint(len(members))
+    while (goal is None or len(members) < goal) and \
             (raw_budget is None or raw < raw_budget):
-        y = step(group, rule, rng)
+        u1, u2 = rng.uniform(), rng.uniform()
         raw += 1
+        summary = (members[0], members[-1]) if rule.p is None \
+            else quantile(rule.p)
+        y = decide(summary, min(u1, u2), max(u1, u2))
         if y is not None:
+            insort(members, y)
             admitted.append(y)
-            if group.size >= next_ck:
+            if len(members) >= next_ck:
                 record()
-                next_ck = _next_checkpoint(group.size)
-    if checkpoints[-1].k != group.size:
+                next_ck = _next_checkpoint(len(members))
+    if checkpoints[-1].k != len(members):
         record()
     return checkpoints, admitted, raw
 
@@ -266,12 +296,15 @@ def _step_loop(group, rule, rng, accepted_target=None, raw_budget=None,
 ], ids=["majority", "consensus", "veto-0.25", "veto-0.75"])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_run_matches_step_loop(rule, initial, budget, seed):
-    # the steps-mode driver takes the same draws and decisions as step()
+    # the steps-mode driver takes the same draws and decisions as the
+    # per-call reference, and leaves the same group
     extra = (0.25, 0.9)
-    traj = run(GroupState(initial), rule, Rng(seed), log_admitted=True,
+    group, members = GroupState(initial), sorted(initial)
+    traj = run(group, rule, Rng(seed), log_admitted=True,
                extra_quantiles=extra, **budget)
     ref_cks, ref_admitted, ref_raw = _step_loop(
-        GroupState(initial), rule, Rng(seed), extra_quantiles=extra, **budget)
+        members, rule, Rng(seed), extra_quantiles=extra, **budget)
+    assert group.values() == members
     assert traj.checkpoints == ref_cks
     assert traj.admitted == ref_admitted
     assert traj.raw_steps == ref_raw
@@ -296,16 +329,17 @@ def test_run_matches_step_loop(rule, initial, budget, seed):
 def test_buffered_draws_match_per_call_draws(rule, initial, legs):
     # the buffered driver leaves every output and the stream itself exactly
     # where a loop of per-call uniform() draws does
-    group, ref_group = GroupState(initial), GroupState(initial)
+    group, members = GroupState(initial), sorted(initial)
     rng, ref_rng = Rng(5), Rng(5)
     for leg in legs:
         traj = run(group, rule, rng, log_admitted=True, **leg)
-        ref_cks, ref_admitted, ref_raw = _step_loop(ref_group, rule, ref_rng,
+        ref_cks, ref_admitted, ref_raw = _step_loop(members, rule, ref_rng,
                                                     **leg)
         assert traj.checkpoints == ref_cks
         assert traj.admitted == ref_admitted
         assert traj.raw_steps == ref_raw
         assert rng.state() == ref_rng.state()
+        assert group.values() == members
     if "raw_budget" in legs[-1]:
         assert traj.raw_steps == legs[-1]["raw_budget"]
     else:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from admitlab.engine import step
+from admitlab.engine import run
 from admitlab.group import GroupState
 from admitlab.rng import Rng
 from admitlab.rules import RuleSpec
@@ -54,9 +54,10 @@ def test_pair_is_sorted_and_advances_two():
     # around a founder at 1 admits the right (larger) candidate of any pair
     a = Rng(5)
     b = Rng(5)
-    y = step(GroupState([1.0]), RuleSpec("veto", r=0.25), a)
+    traj = run(GroupState([1.0]), RuleSpec("veto", r=0.25), a, raw_budget=1,
+               log_admitted=True)
     u, v = b.uniform(), b.uniform()
-    assert y == max(u, v)
+    assert traj.admitted == [max(u, v)]
     assert a.state() == b.state()
 
 

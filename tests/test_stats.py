@@ -3,13 +3,14 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from admitlab.group import GroupState
 from admitlab.oracles import (f_majority, majority_context, triangle_cdf,
                               veto_context)
 from admitlab.rng import Rng
-from admitlab.rules import RuleSpec
+from admitlab.rules import RuleSpec, majority_decide, veto_decide
 from admitlab.stats import (
     check_density_bounds,
     default_delta,
@@ -160,6 +161,41 @@ def test_interval_estimates_tie_to_oracle():
         assert abs(est - f_majority(q)) < 3 * se + 1e-9
 
 
+class _BlockStub:
+    """Plays back a fixed list of uniforms through `uniform_block`."""
+
+    def __init__(self, values):
+        self.values = np.array(values, dtype=float)
+
+    def uniform_block(self, n):
+        block, self.values = self.values[:n], self.values[n:]
+        return block
+
+
+def test_frozen_sampler_matches_rule_decisions():
+    # the numpy sampler must admit exactly what majority_decide and
+    # veto_decide admit from the sorted pair, exact ties included: at
+    # summary 0.5 the pair (0.75, 0.25) admits the left candidate, 0.25
+    from admitlab.stats import _frozen_step_values
+
+    u = Rng(41).uniform_block(4000).tolist()
+    seeded = list(zip(u[0::2], u[1::2]))
+    for s in (0.5, 0.375, 0.8125):
+        ties = [(s + d, s - d) for d in (0.125, 2.0 ** -20, 0.0)] + \
+               [(s - d, s + d) for d in (0.125, 2.0 ** -20)]
+        pairs = seeded + ties
+        flat = [x for pair in pairs for x in pair]
+        got = _frozen_step_values(RuleSpec("majority"), s, len(pairs),
+                                  _BlockStub(flat), block=len(pairs))
+        assert got.tolist() == [majority_decide(s, min(a, b), max(a, b))
+                                for a, b in pairs]
+        want = [veto_decide(s, min(a, b), max(a, b)) for a, b in pairs]
+        want = [y for y in want if y is not None]
+        got = _frozen_step_values(RuleSpec("veto", r=0.25), s, len(want),
+                                  _BlockStub(flat), block=len(pairs))
+        assert got.tolist() == want
+
+
 def test_interval_accept_prob_validation():
     with pytest.raises(ValueError):
         estimate_interval_accept_prob(RuleSpec("majority"), 0.5, (0, 1), 0, Rng(9))
@@ -212,6 +248,13 @@ def test_progress_preconditions_rejected():
         quantile_progress_test(rule, ctx, 0.1, 0.2, 100, 5, Rng(16))
     with pytest.raises(ValueError, match="trials"):
         quantile_progress_test(rule, ctx, 0.1, 0.002, 100, 0, Rng(20))
+
+
+def test_progress_context_must_describe_the_rule():
+    # a veto context aims majority start groups at the veto tau
+    with pytest.raises(ValueError, match="context"):
+        quantile_progress_test(RuleSpec("majority"), veto_context(0.75),
+                               0.1, 0.002, 200, 3, Rng(1))
 
 
 def test_progress_precondition_hand_values():
