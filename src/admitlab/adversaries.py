@@ -10,7 +10,7 @@ stay integer-exact.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -289,14 +289,38 @@ def one_step_irreplaceable(committee: Committee, i: int):
 
 # ----------------------------------------------------- removal schedule
 
+def _removal_stages(points, n_stages: int):
+    """The candidates of stages 1..n_stages on the sorted `points`, each
+    replacing the smallest member, and the last stage's step.  Stage j
+    rebuilds the smallest j members as a progression below c = points[j-1]
+    whose step divides the gap to points[j], then walks it up that gap, so
+    only its top j points stay below points[j] and stage j+1 again reads
+    its two points off `points`.  The step must shrink below the previous
+    one over j, or the compression would move points away from the voters.
+    """
+    out, delta = [], None
+    for j in range(1, n_stages + 1):
+        c = points[j - 1]
+        gap = points[j] - c
+        parts = j + 2
+        if delta is not None:
+            parts = max(parts, (gap * j * delta.denominator)
+                        // delta.numerator + 1)
+        delta = Fraction(gap, parts)
+        out += [c - m * delta for m in range(1, j)]      # compress below c
+        out += [c + m * delta for m in range(1, parts)]  # march up the gap
+    return out, delta
+
+
 def removal_schedule(initial: Committee) -> ReplacementSchedule:
     """Schedule removing every original member when the threshold is low.
 
-    Valid for committees of size n = 4k+3 requiring at most 3k+2 votes;
-    works the left side up to and including the median in stages (stage j
-    rebuilds the smallest j points as an arithmetic progression with step
-    dividing the next gap, then walks it up to the next original point),
-    and then mirrors the process from the right.
+    Valid for committees of size n = 4k+3 requiring at most 3k+2 votes.
+    The 2k+2 left stages replace the smallest member up to and including
+    the median; stage j reads only x_j and x_{j+1} of the starting profile.
+    The 2k+1 mirrored stages replace the largest member, as left stages on
+    -x_n, ..., -x_{2k+3}, delta_L - x_{2k+3}: the last one reads
+    x_{2k+3} - delta_L, delta_L being the last left stage's step.
     """
     n = initial.n
     if n < 7 or n % 4 != 3:
@@ -309,45 +333,12 @@ def removal_schedule(initial: Committee) -> ReplacementSchedule:
     if len(set(initial.values)) != n:
         raise ValueError("construction requires all opinions distinct")
 
-    steps = []
-    work = list(initial.values)
-
-    def left_stages(values: list, n_stages: int, mirrored: bool):
-        # stage j assumes the smallest j points form an arithmetic
-        # progression (difference prev_delta) and ends with x_j replaced
-        # and the smallest j+1 points in progression with step delta_j
-        # dividing the next gap.  delta_j must shrink below prev_delta/j:
-        # otherwise the compression sub-stage would move points leftward,
-        # away from the voter mass, and lose the vote.
-        prev_delta = None
-        for j in range(1, n_stages + 1):
-            c = values[j - 1]
-            w = values[j]
-            gap = w - c
-            parts = j + 2
-            if prev_delta is not None:
-                parts = max(parts, (gap * j * prev_delta.denominator)
-                            // (prev_delta.numerator) + 1)
-            delta = Fraction(gap, parts)
-            for m in range(1, j):               # compress below x_j
-                _push(values, steps, c - m * delta, mirrored)
-            for m in range(1, parts):           # march up to x_{j+1} - delta
-                _push(values, steps, c + m * delta, mirrored)
-            prev_delta = delta
-
-    def _push(values: list, out: list, y, mirrored: bool):
-        # replace the current smallest (position 1); mirrored runs operate
-        # on the reflected profile, so map back to position n and negate
-        del values[0]
-        insort(values, y)
-        if mirrored:
-            out.append((n, -y))
-        else:
-            out.append((1, y))
-
-    left_stages(work, 2 * k + 2, mirrored=False)
-    work = [-v for v in reversed(work)]      # reflect and clear the right
-    left_stages(work, 2 * k + 1, mirrored=True)
+    vals = initial.values
+    left, delta_l = _removal_stages(vals, 2 * k + 2)
+    top = vals[2 * k + 2:]  # x_{2k+3}, ..., x_n
+    mirror = [-v for v in reversed(top)] + [delta_l - top[0]]
+    right, _ = _removal_stages(mirror, 2 * k + 1)
+    steps = [(1, y) for y in left] + [(n, -y) for y in right]
     return ReplacementSchedule(steps, "no-immunity-removal")
 
 

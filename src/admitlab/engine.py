@@ -139,7 +139,6 @@ def run(initial: GroupState, rule: RuleSpec, rng: Rng,
     raw = 0
 
     p, tau = rule.p, rule.tau
-    uniform = rng.uniform
     insert = group.insert
     quantile = group.quantile
 
@@ -154,6 +153,7 @@ def run(initial: GroupState, rule: RuleSpec, rng: Rng,
     next_ck = _next_checkpoint(group.size)
 
     if mode == "jump":
+        uniform = rng.uniform
         while (goal is None or group.size < goal) and \
               (raw_budget is None or raw < raw_budget):
             q = quantile(p)

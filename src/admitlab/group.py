@@ -46,9 +46,6 @@ class GroupState:
     def size(self) -> int:
         return self._size
 
-    def __len__(self) -> int:
-        return self._size
-
     def insert(self, x: float) -> None:
         """Add one opinion; duplicates are kept."""
         if not 0.0 <= x <= 1.0:

@@ -66,6 +66,10 @@ def check_density_bounds(group: GroupState, widths: Sequence[float],
     half-open except at the right edge of [0, 1].  No verdict passes
     without a window checked.
     """
+    if not all(w > 0 for w in widths):
+        raise ValueError(f"widths must be positive, got {list(widths)}")
+    if align is not None and not align > 0:
+        raise ValueError(f"align must be positive, got {align}")
     lo_r, hi_r = region
     if align is None and widths:
         align = min(widths) / 2.0
@@ -176,6 +180,8 @@ def smoothness_report(rule: RuleSpec, summary_grid: Sequence[float],
     """
     if not summary_grid or not delta_grid:
         raise ValueError("summary and delta grids must be non-empty")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     rows: list[IntervalEstimate] = []
     f_hat = []
     passed = True

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from bisect import insort
 from fractions import Fraction
 
 import pytest
@@ -270,6 +271,62 @@ def test_removal_schedule_rejected_in_immunity_phase():
         removal_schedule(c)
     with pytest.raises(ValueError):
         removal_schedule(Committee([1, 1, 2, 3, 4, 5, 6], ell=2))
+
+
+def _simulated_removal_steps(initial: Committee) -> list:
+    """The removal construction run member by member: a sorted work list
+    loses its smallest point to every candidate, and each stage reads its
+    two points off that list as it stands.  The mirrored half negates and
+    reverses the list, so its position 1 is the committee's position n."""
+    n = initial.n
+    k = (n - 3) // 4
+    steps = []
+    work = list(initial.values)
+    for n_stages, pos, sign in ((2 * k + 2, 1, 1), (2 * k + 1, n, -1)):
+        prev_delta = None
+        for j in range(1, n_stages + 1):
+            c, w = work[j - 1], work[j]
+            parts = j + 2
+            if prev_delta is not None:
+                parts = max(parts, (w - c) * j * prev_delta.denominator
+                            // prev_delta.numerator + 1)
+            delta = Fraction(w - c, parts)
+            for y in ([c - m * delta for m in range(1, j)]
+                      + [c + m * delta for m in range(1, parts)]):
+                del work[0]
+                insort(work, y)
+                steps.append((pos, sign * y))
+            prev_delta = delta
+        work = [-v for v in reversed(work)]
+    return steps
+
+
+# uneven rational gaps and negative opinions, each under 25k steps
+_IRREGULAR_PROFILES = [
+    [Fraction(-7, 3), Fraction(-1, 2), 0, Fraction(5, 4), 3,
+     Fraction(22, 7), 9],
+    [-12, Fraction(-5, 2), Fraction(-9, 4), Fraction(1, 9), Fraction(8, 3),
+     40, Fraction(81, 2)],
+    [-40, Fraction(-39, 2), Fraction(-17, 3), -1, Fraction(1, 7),
+     Fraction(3, 2), 2, Fraction(13, 3), 11, Fraction(23, 2), 30],
+    [Fraction(-3, 11), Fraction(-1, 5), Fraction(1, 10), Fraction(1, 3),
+     Fraction(7, 5), Fraction(29, 6), 5, Fraction(51, 8), 9,
+     Fraction(100, 7), 15],
+]
+
+
+@pytest.mark.parametrize("values", _IRREGULAR_PROFILES)
+def test_removal_schedule_matches_simulation(values):
+    k = (len(values) - 3) // 4
+    initial = Committee(values, ell=k + 1)
+    sched = removal_schedule(initial)
+    want = _simulated_removal_steps(initial)
+    assert sched.steps == want
+    assert [type(y) for _, y in sched.steps] == [type(y) for _, y in want]
+    res = replay(initial, sched, require_votes=3 * k + 2)
+    assert res.accepted_all
+    assert min(res.vote_counts) >= 3 * k + 2
+    assert not set(initial.ids) & set(res.committee.ids)
 
 
 # sha256 of repr((accepted, epochs, median_moves, drift, shift, monotone and

@@ -16,16 +16,15 @@ from admitlab.rules import (RuleSpec, consensus_decide, majority_decide,
 
 
 class StubRng:
-    """Plays back a fixed list of uniforms."""
+    """Plays back a fixed list of uniforms, in blocks only: steps mode
+    draws nothing else."""
 
     def __init__(self, values):
         self.values = list(values)
 
-    def uniform(self):
-        return self.values.pop(0)
-
     def uniform_block(self, n):
-        return np.array([self.uniform() for _ in range(n)])
+        block, self.values = self.values[:n], self.values[n:]
+        return np.array(block)
 
 
 def test_majority_admits_every_step():
@@ -38,6 +37,23 @@ def test_majority_admits_every_step():
 
 def _one_step(g, rule, pair):
     return run(g, rule, StubRng(pair), raw_budget=1, log_admitted=True)
+
+
+class _BlockOnly:
+    """A draw source offering `uniform_block` and nothing else."""
+
+    def __init__(self, seed):
+        self.uniform_block = Rng(seed).uniform_block
+
+
+def test_steps_mode_draws_only_blocks():
+    # a steps-mode run must not ask its source for single draws
+    rule = RuleSpec("veto", r=0.25)
+    want = run(GroupState([0.5]), rule, Rng(8), accepted_target=300,
+               log_admitted=True)
+    got = run(GroupState([0.5]), rule, _BlockOnly(8), accepted_target=300,
+              log_admitted=True)
+    assert got.admitted == want.admitted and got.raw_steps == want.raw_steps
 
 
 def test_consensus_forced_rejection():

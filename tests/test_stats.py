@@ -130,6 +130,18 @@ def test_check_density_bounds_window_membership():
         assert v.checked == 0 and not v.passed
 
 
+def test_check_density_bounds_rejects_nonpositive_steps():
+    # a zero or negative width or align would never leave the window loop
+    g = GroupState([0.5])
+    for kwargs, name in (({"widths": [0.0]}, "widths"),
+                         ({"widths": [0.2, -0.1]}, "widths"),
+                         ({"widths": [0.2], "align": 0.0}, "align"),
+                         ({"widths": [0.2], "align": -0.1}, "align")):
+        with pytest.raises(ValueError, match=name):
+            check_density_bounds(g, lower_per_len=0.0, upper_per_len=10.0,
+                                 **kwargs)
+
+
 # -------------------------------------------- frozen-summary MC estimates
 
 def test_interval_accept_prob_majority_symmetry():
@@ -230,6 +242,10 @@ def test_smoothness_veto_flat_below_half():
 def test_smoothness_validation():
     with pytest.raises(ValueError):
         smoothness_report(RuleSpec("majority"), [], [0.1], 100, Rng(13))
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="trials"):
+            smoothness_report(RuleSpec("majority"), [0.5], [0.1], trials,
+                              Rng(13))
 
 
 # -------------------------------------------------------- progress test
