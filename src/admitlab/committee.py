@@ -176,7 +176,7 @@ def shift_lemma_check(before: Committee, after: Committee) -> tuple[bool, object
 
     When the median moved right, the sum of distances to the median must
     drop by at least 2 * sum_{j=k-ell+2}^{k} d(x_j, x'_j) + d(x_{k+1},
-    x'_{k+1}).  The moved-left case is checked through reflection.
+    x'_{k+1}); when it moved left, the sum runs over j = k+2..k+ell.
     Returns (holds, decrease, required_decrease).
     """
     n = before.n
@@ -189,24 +189,14 @@ def shift_lemma_check(before: Committee, after: Committee) -> tuple[bool, object
     k = (n - 1) // 2
     med_before = before.values[k]
     med_after = after.values[k]
-    if med_after == med_before:
-        return True, before.potential() - after.potential(), 0
-    if med_after < med_before:
-        return _shift_check_right(_reflect(before), _reflect(after), k, before.ell)
-    return _shift_check_right(before, after, k, before.ell)
-
-
-def _reflect(c: Committee) -> Committee:
-    return Committee._of(tuple(-v for v in reversed(c.values)),
-                         tuple(reversed(c.ids)), c, c._next_id)
-
-
-def _shift_check_right(before: Committee, after: Committee,
-                       k: int, ell: int):
     decrease = before.potential() - after.potential()
-    required = abs(after.values[k] - before.values[k])
-    for j in range(k - ell + 2, k + 1):          # 1-based j = k-ell+2 .. k
-        required += 2 * abs(after.values[j - 1] - before.values[j - 1])
+    if med_after == med_before:
+        return True, decrease, 0
+    ell = before.ell
+    side = range(k - ell + 1, k) if med_after > med_before \
+        else range(k + 1, k + ell)
+    required = abs(med_after - med_before) + 2 * sum(
+        abs(after.values[j] - before.values[j]) for j in side)
     return decrease >= required, decrease, required
 
 

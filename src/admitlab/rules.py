@@ -2,9 +2,10 @@
 
 Each rule looks only at the summary it is allowed to see (median for
 majority, extremes for consensus, the (1-r)-quantile for veto).  A decision
-returns the opinion it admits, or None when nobody joins.  Exact ties
-always resolve toward the left (smaller) candidate so replays are
-deterministic.
+returns the opinion it admits, or None when nobody joins; the row of each
+quantile-driven rule holds its decision in scalar form and in block form,
+over numpy arrays of sorted pairs.  Exact ties always resolve toward the
+left (smaller) candidate so replays are deterministic.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional
+
+import numpy as np
 
 from . import oracles
 from .group import GroupState
@@ -64,16 +67,19 @@ def veto_decide(q_threshold: float, y1: float, y2: float) -> Optional[float]:
 
 # kind -> (driving quantile p from r, limit tau_p of q_p from p, smoothness
 # constants (c1, c2), reader of the rule's summary bound to a group and p,
-# decision)
+# decision, block decision, chance that a step admits anyone at a summary)
 _RULES = {
     "majority": (lambda r: 0.5, lambda p: 0.5, (1.0, 2.0),
-                 lambda group, p: group.median, majority_decide),
+                 lambda group, p: group.median, majority_decide,
+                 lambda m, a, b: np.where(abs(m - a) <= abs(m - b), a, b),
+                 lambda m: 1.0),
     "consensus": (lambda r: None, lambda p: None, (1.0, 2.0),
                   lambda group, p: lambda: (group.min(), group.max()),
-                  consensus_decide),
+                  consensus_decide, None, None),
     "veto": (lambda r: 1.0 - r, lambda p: oracles.tau(p) if p > 0.5 else None,
              (1.0, 4.0), lambda group, p: partial(group.quantile, p),
-             veto_decide),
+             veto_decide, lambda q, a, b: b[(a + b) * 0.5 < q],
+             oracles.accept_any_veto),
 }
 
 
@@ -117,8 +123,18 @@ def kernel(rule: RuleSpec, group: GroupState) -> tuple:
     when a member joins.  The decision maps (summary, y1, y2), y1 <= y2,
     to the admitted opinion, or None when nobody joins.
     """
-    bind, decision = _RULES[rule.kind][3:]
+    bind, decision = _RULES[rule.kind][3:5]
     return bind(group, rule.p), decision
+
+
+def block_kernel(rule: RuleSpec) -> tuple:
+    """The rule's block decision, mapping (summary, y1, y2) over arrays of
+    sorted pairs to the admitted opinions in pair order, and the chance that
+    a step admits anyone at a fixed summary.  Consensus raises ValueError."""
+    block, accept_prob = _RULES[rule.kind][5:]
+    if block is None:
+        raise ValueError(f"no frozen-summary sampler for rule {rule.kind!r}")
+    return block, accept_prob
 
 
 def decide(rule: RuleSpec, group: GroupState,

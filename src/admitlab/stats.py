@@ -19,7 +19,9 @@ import numpy as np
 from .group import GroupState
 from .oracles import OracleContext, gap_functions
 from .rng import Rng
-from .rules import RuleSpec
+from .rules import RuleSpec, block_kernel
+
+_PASS_PAIRS = 1 << 15  # most candidate pairs a frozen-summary pass draws
 
 
 # --------------------------------------------------------------------- KS
@@ -95,51 +97,39 @@ def check_density_bounds(group: GroupState, widths: Sequence[float],
 # --------------------------------------- frozen-summary single-step probes
 
 def _frozen_step_values(rule: RuleSpec, summary: float, trials: int,
-                        rng: Rng, block: int = 1 << 15) -> np.ndarray:
+                        rng: Rng) -> np.ndarray:
     """Admitted opinions from `trials` single steps with the rule summary
-    (median or driving quantile) held fixed.  For rules with rejection the
-    result is conditioned on acceptance, so fewer raw draws may be needed
-    than trials requested; draws continue until `trials` admissions."""
+    (median or driving quantile) held fixed, conditioned on acceptance: a
+    pass draws the pairs expected to give the admissions still wanted.  A
+    summary at which no step admits anyone raises ValueError."""
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    decide, accept_prob = block_kernel(rule)
+    p_acc = accept_prob(summary)
+    if not p_acc > 0.0:
+        raise ValueError(f"no step admits anyone at summary {summary!r}")
     out = np.empty(trials)
     have = 0
-    if rule.kind == "majority":
-        while have < trials:
-            m = min(block, trials - have)
-            u = rng.uniform_block(2 * m)
-            a, b = u[0::2], u[1::2]
-            da, db = np.abs(summary - a), np.abs(summary - b)
-            # an exact tie admits the smaller draw, as majority_decide does
-            out[have:have + m] = np.where(
-                (da < db) | ((da == db) & (a < b)), a, b)
-            have += m
-        return out
-    if rule.kind == "veto":
-        while have < trials:
-            u = rng.uniform_block(2 * block)
-            a, b = u[0::2], u[1::2]
-            acc = (a + b) * 0.5 < summary
-            vals = np.maximum(a, b)[acc]
-            take = min(len(vals), trials - have)
-            out[have:have + take] = vals[:take]
-            have += take
-        return out
-    raise ValueError(f"no frozen-summary sampler for rule {rule.kind!r}")
+    while have < trials:
+        m = min(_PASS_PAIRS, math.ceil((trials - have) / p_acc))
+        u = rng.uniform_block(2 * m)
+        a, b = u[0::2], u[1::2]
+        vals = decide(summary, np.minimum(a, b), np.maximum(a, b))
+        take = min(len(vals), trials - have)
+        out[have:have + take] = vals[:take]
+        have += take
+    return out
 
 
 def estimate_interval_accept_prob(rule: RuleSpec, frozen_summary: float,
                                   interval: tuple, trials: int,
                                   rng: Rng) -> tuple[float, float]:
     """Monte Carlo estimate (and standard error) of the probability that a
-    single step admits into `interval`, conditioning on acceptance for
-    rules that can reject, with the rule summary held fixed."""
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    step admits into `interval` [lo, hi) (draws lie below 1), conditioned
+    on acceptance where the rule can reject, with the summary held fixed."""
     lo, hi = interval
     vals = _frozen_step_values(rule, frozen_summary, trials, rng)
-    if hi >= 1.0:
-        hits = np.count_nonzero((vals >= lo) & (vals <= 1.0))
-    else:
-        hits = np.count_nonzero((vals >= lo) & (vals < hi))
+    hits = np.count_nonzero((vals >= lo) & (vals < hi))
     est = hits / trials
     se = math.sqrt(max(est * (1.0 - est), 1e-300) / trials)
     return est, se
@@ -176,12 +166,14 @@ def smoothness_report(rule: RuleSpec, summary_grid: Sequence[float],
     For every summary value q on the grid, `trials` frozen-summary
     admissions are binned into each delta partition of [0, 1]; every bin
     probability must lie within [c1*d^2 - 3se, c2*d + 3se].  The estimated
-    f(q) values must also increase across the grid beyond noise.
+    f(q) values must also increase across the grid beyond noise.  Each
+    delta must split [0, 1] into whole bins.
     """
     if not summary_grid or not delta_grid:
         raise ValueError("summary and delta grids must be non-empty")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    for d in delta_grid:
+        if not (0.0 < d <= 1.0 and abs(round(1.0 / d) * d - 1.0) <= 1e-9):
+            raise ValueError(f"delta_grid: {d!r} does not split [0, 1] evenly")
     rows: list[IntervalEstimate] = []
     f_hat = []
     passed = True

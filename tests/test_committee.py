@@ -122,6 +122,13 @@ def test_shift_lemma_hand_fixture_new_median():
     # 2*sum_{j=k-l+2}^{k} d(x_j,x'_j) + d(x_{k+1},x'_{k+1}), k=2: j range empty
     assert req == 1
     assert holds
+    # n=5, ell=2, the median moves left: replace x_5 = 5 by y = 1 ->
+    # (0,1,1,2,3), median 2 -> 1; the mirror sum reads x_4: 3 -> 2
+    c = Committee([0, 1, 2, 3, 5], ell=2)
+    ok, c2 = c.replace_attempt(5, 1)
+    assert ok and c2.median() == 1
+    # S = 2+1+0+1+3 = 7, S' = 1+0+0+1+2 = 4; required 1 + 2*1, tight
+    assert shift_lemma_check(c, c2) == (True, 3, 3)
 
 
 def test_shift_lemma_rejects_non_adjacent_states():

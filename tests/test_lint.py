@@ -119,3 +119,20 @@ def test_benchmark_api_resolves():
             missing.append(f"{where}: {'.'.join(chain)}")
     assert sum(where == "spans.py" for where, _ in wanted) > 10
     assert not missing, f"perfbench uses names admitlab lacks: {missing}"
+
+
+def test_stats_has_no_rule_kind_branch():
+    # each admission rule's decision lives in rules.py: stats draws through
+    # rules.block_kernel and never compares a rule's kind to a name
+    tree = ast.parse((SRC / "stats.py").read_text(), filename="stats.py")
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare):
+            continue
+        sides = [node.left, *node.comparators]
+        if any(isinstance(x, ast.Attribute) and x.attr == "kind"
+               for x in sides) and \
+                any(isinstance(c, ast.Constant) and isinstance(c.value, str)
+                    for x in sides for c in ast.walk(x)):
+            found.append(f"stats.py:{node.lineno}")
+    assert not found, f"rule kind compared to a name: {found}"

@@ -2,14 +2,17 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from admitlab.group import GroupState
+from admitlab.rng import Rng
 from admitlab.rules import (
     CandidatePair,
     RuleSpec,
+    block_kernel,
     consensus_decide,
     decide,
     majority_decide,
@@ -73,6 +76,8 @@ def test_rulespec_validation():
     assert RuleSpec("majority").p == 0.5
     assert RuleSpec("veto", r=0.25).p == 0.75
     assert RuleSpec("veto", r=0.25).c2 == 4.0
+    with pytest.raises(ValueError, match="consensus"):
+        block_kernel(RuleSpec("consensus"))  # not quantile-driven
 
 
 def _vote_left(member, y1, y2):
@@ -152,3 +157,23 @@ def test_decisions_are_pure(m, a, b):
     y1, y2 = min(a, b), max(a, b)
     assert majority_decide(m, y1, y2) == majority_decide(m, y1, y2)
     assert veto_decide(m, y1, y2) == veto_decide(m, y1, y2)
+
+
+def test_block_decisions_match_scalar_decisions():
+    # the block decision admits exactly what the scalar decision admits
+    # from each sorted pair, in pair order, exact ties included: at
+    # summary 0.5 the pair (0.25, 0.75) admits the left candidate, 0.25
+    u = Rng(41).uniform_block(4000).tolist()
+    seeded = list(zip(u[0::2], u[1::2]))
+    for s in (0.5, 0.375, 0.8125):
+        ties = [(s + d, s - d) for d in (0.125, 2.0 ** -20, 0.0)] + \
+               [(s - d, s + d) for d in (0.125, 2.0 ** -20)]
+        pairs = [(min(a, b), max(a, b)) for a, b in seeded + ties]
+        y1, y2 = (np.array(col) for col in zip(*pairs))
+        for rule, scalar in ((RuleSpec("majority"), majority_decide),
+                             (RuleSpec("veto", r=0.25), veto_decide)):
+            block, accept_prob = block_kernel(rule)
+            want = [scalar(s, a, b) for a, b in pairs]
+            want = [y for y in want if y is not None]
+            assert block(s, y1, y2).tolist() == want
+            assert 0.0 < accept_prob(s) <= 1.0

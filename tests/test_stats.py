@@ -1,16 +1,18 @@
 """Statistical validators: KS oracles, density monitors, MC probes."""
 
+import hashlib
 import math
 import random
 
 import numpy as np
 import pytest
 
+from admitlab import stats
 from admitlab.group import GroupState
 from admitlab.oracles import (f_majority, majority_context, triangle_cdf,
                               veto_context)
 from admitlab.rng import Rng
-from admitlab.rules import RuleSpec, majority_decide, veto_decide
+from admitlab.rules import RuleSpec
 from admitlab.stats import (
     check_density_bounds,
     default_delta,
@@ -173,44 +175,76 @@ def test_interval_estimates_tie_to_oracle():
         assert abs(est - f_majority(q)) < 3 * se + 1e-9
 
 
-class _BlockStub:
-    """Plays back a fixed list of uniforms through `uniform_block`."""
+class _CountingRng(Rng):
+    """An Rng that counts the uniforms drawn through `uniform_block`."""
 
-    def __init__(self, values):
-        self.values = np.array(values, dtype=float)
+    __slots__ = ("draws",)
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.draws = 0
 
     def uniform_block(self, n):
-        block, self.values = self.values[:n], self.values[n:]
-        return block
+        self.draws += n
+        return super().uniform_block(n)
 
 
-def test_frozen_sampler_matches_rule_decisions():
-    # the numpy sampler must admit exactly what majority_decide and
-    # veto_decide admit from the sorted pair, exact ties included: at
-    # summary 0.5 the pair (0.75, 0.25) admits the left candidate, 0.25
-    from admitlab.stats import _frozen_step_values
+# sha256 of the float64 bytes of 40,000 frozen-summary admissions from
+# Rng(7), recorded before the sampler drew through rules.block_kernel;
+# majority also pins the final Rng state (it takes exactly 2 draws a trial)
+_FROZEN_PINS = {
+    ("majority", 0.2):
+        "db7d06d7308488734ac7241e014a4ad66f43c17acb339bd6fd05378d39ead057",
+    ("majority", 0.5):
+        "f6ad3751ee94c62bb1ef3b1f459b8538e88b6dc84dca275d8589c0523e4c94c9",
+    ("majority", 0.8):
+        "9b5ad252ef5aeb142483bb7753a2b28a4b7da2b4dbfc4fbe767b2987fb92328a",
+    ("veto", 0.65):
+        "179c52e9a4990da01693a6340683cb38246099f06345fd1ffdfe19cdbe3949e8",
+    ("veto", 0.75):
+        "f1e57e7e22779989ba4ea848cd51bf19520358cb20906ff7716fcec9ab0e8a4d",
+    ("veto", 0.85):
+        "607ff885cd38db0b44c35ef067fdbb4b5d8aa585a3e2cfe4db25c81de6af8519",
+}
+_MAJORITY_FROZEN_STATE = (4350380134635362964, 6742743427920508459,
+                          16632066572182713200, 8422899372982039275)
 
-    u = Rng(41).uniform_block(4000).tolist()
-    seeded = list(zip(u[0::2], u[1::2]))
-    for s in (0.5, 0.375, 0.8125):
-        ties = [(s + d, s - d) for d in (0.125, 2.0 ** -20, 0.0)] + \
-               [(s - d, s + d) for d in (0.125, 2.0 ** -20)]
-        pairs = seeded + ties
-        flat = [x for pair in pairs for x in pair]
-        got = _frozen_step_values(RuleSpec("majority"), s, len(pairs),
-                                  _BlockStub(flat), block=len(pairs))
-        assert got.tolist() == [majority_decide(s, min(a, b), max(a, b))
-                                for a, b in pairs]
-        want = [veto_decide(s, min(a, b), max(a, b)) for a, b in pairs]
-        want = [y for y in want if y is not None]
-        got = _frozen_step_values(RuleSpec("veto", r=0.25), s, len(want),
-                                  _BlockStub(flat), block=len(pairs))
-        assert got.tolist() == want
+
+@pytest.mark.parametrize("pass_pairs", [stats._PASS_PAIRS, 1000])
+def test_frozen_sampler_pinned(pass_pairs, monkeypatch):
+    # the pass size changes how the stream is cut, never what it admits
+    monkeypatch.setattr(stats, "_PASS_PAIRS", pass_pairs)
+    for (kind, q), want in _FROZEN_PINS.items():
+        rule = RuleSpec(kind, r=0.25 if kind == "veto" else None)
+        rng = Rng(7)
+        vals = stats._frozen_step_values(rule, q, 40000, rng)
+        assert hashlib.sha256(vals.astype("<f8").tobytes()).hexdigest() \
+            == want
+        if kind == "majority":
+            assert rng.state() == _MAJORITY_FROZEN_STATE
+
+
+def test_frozen_sampler_veto_draws_what_it_needs():
+    # at q = 0.9 a step admits with probability 0.98: ten admissions need
+    # about 22 uniforms, not a whole 65,536-draw pass
+    rng = _CountingRng(1)
+    vals = stats._frozen_step_values(RuleSpec("veto", r=0.25), 0.9, 10, rng)
+    assert len(vals) == 10
+    assert rng.draws < 100
 
 
 def test_interval_accept_prob_validation():
     with pytest.raises(ValueError):
         estimate_interval_accept_prob(RuleSpec("majority"), 0.5, (0, 1), 0, Rng(9))
+    # no veto step admits anyone at a summary <= 0; outside [0, 1] the
+    # acceptance probability itself is undefined
+    for s in (0.0, -0.5, 1.5):
+        with pytest.raises(ValueError, match=repr(s)):
+            estimate_interval_accept_prob(RuleSpec("veto", r=0.25), s,
+                                          (0.0, 1.0), 10, Rng(1))
+    with pytest.raises(ValueError, match="consensus"):
+        estimate_interval_accept_prob(RuleSpec("consensus"), 0.5, (0, 1), 10,
+                                      Rng(1))
 
 
 # ------------------------------------------------------------- smoothness
@@ -242,6 +276,14 @@ def test_smoothness_veto_flat_below_half():
 def test_smoothness_validation():
     with pytest.raises(ValueError):
         smoothness_report(RuleSpec("majority"), [], [0.1], 100, Rng(13))
+    # each delta must split [0, 1] into whole bins
+    for d in (0.3, 0.7, 0.0, -0.1, 2.0, float("nan")):
+        with pytest.raises(ValueError, match="delta_grid"):
+            smoothness_report(RuleSpec("majority"), [0.5], [0.1, d], 100,
+                              Rng(13))
+    with pytest.raises(ValueError, match="0.0"):
+        smoothness_report(RuleSpec("veto", r=0.25), [0.75, 0.0], [0.1], 100,
+                          Rng(13))
     for trials in (0, -1):
         with pytest.raises(ValueError, match="trials"):
             smoothness_report(RuleSpec("majority"), [0.5], [0.1], trials,
