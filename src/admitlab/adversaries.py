@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .committee import Committee, drift_bound_check, shift_lemma_check
+from .records import Record
 from .rng import Rng
 
 # global dyadic scale used by the geometric construction: every gap is
@@ -33,16 +34,16 @@ _RESCALE_BITS = 24
 _SCALE_BUDGET_BITS = 512
 
 
-@dataclass
-class ReplacementSchedule:
+@dataclass(repr=False, eq=False)
+class ReplacementSchedule(Record):
     """Ordered replacement steps, each (1-based position index, candidate)."""
 
     steps: list
     provenance: str
 
 
-@dataclass
-class ReplayResult:
+@dataclass(repr=False, eq=False)
+class ReplayResult(Record):
     committee: Committee
     accepted_all: bool
     failed_at: Optional[int] = None
@@ -142,8 +143,8 @@ def solve_geometric_delta(k: int, ell: int) -> float:
     return d
 
 
-@dataclass
-class TightnessRun:
+@dataclass(repr=False, eq=False)
+class TightnessRun(Record):
     delta: float
     schedule: ReplacementSchedule
     displacement: Fraction   # final x_{k-l+2} minus the initial maximum
@@ -368,8 +369,8 @@ def legal_intervals(committee: Committee, i: int) -> list:
     return [(min(xi, 2 * low_voter - xi), max(xi, 2 * high_voter - xi))]
 
 
-@dataclass
-class FuzzReport:
+@dataclass(repr=False, eq=False)
+class FuzzReport(Record):
     accepted: int
     epochs: int
     median_moves: int

@@ -34,6 +34,7 @@ from .committee import Committee
 from .engine import run as engine_run
 from .experiments import CRITERIA
 from .group import GroupState
+from .records import Record
 from .rng import Rng
 from .rules import _RULES, RuleSpec
 
@@ -332,8 +333,8 @@ def _sweep(doc: dict) -> dict:
 
 # ------------------------------------------------------------- run records
 
-@dataclass
-class RunRecord:
+@dataclass(repr=False, eq=False)
+class RunRecord(Record):
     config: dict
     seed: Optional[int]
     config_hash: str

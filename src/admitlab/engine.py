@@ -1,53 +1,62 @@
-"""Discrete-time growth engine: seeded draws, rule kernels, checkpointing.
+"""Discrete-time growth engine: seeded draws, windowed blocks, checkpointing.
 
 A run is fully determined by (initial group, rule, targets, seed).  Raw
 steps and accepted members are counted separately because veto and
-consensus rules reject candidates in many steps.
+consensus rules reject candidates in many steps.  The group (`GroupState`,
+a sorted array) grows a block at a time, in one `insert_many` merge per
+block; blocks end at the geometric checkpoints, so `record()` sees what a
+member-by-member run would.
 
-Two sampling modes are available:
-
-* ``steps`` (default, every rule): one driver draws a sorted candidate pair
-  per raw step and applies the rule's kernel from `rules.kernel`, its
-  decision on the cached summary (median, extremes or a quantile), which is
-  re-read only after a member joins.  The decision returns the opinion it
-  admits, or None when nobody joins.  It takes the same draws and decisions
-  as the per-call reference in the tests (`tests/test_engine.py`
-  `_step_loop`: two `uniform()` calls per step, a plain sorted list).  The
-  draws come in buffers from
+* ``steps`` (default, every rule): each raw step draws a sorted candidate
+  pair and the rule decides on its summary, with the same draws and
+  decisions as the per-call reference in the tests (`_step_loop`: two
+  `uniform()` calls per step, a plain sorted list).  The draws come from
   `Rng.uniform_block`, `need = min(_CHUNK_PAIRS, goal - size, budget - raw)`
-  pairs at a time.  A step takes exactly two draws and admits at most one
-  member, so the run is certain to last at least `need` more steps and every
-  buffer is used up: the stream ends exactly where 2 * raw `uniform()`
-  calls would leave it, and runs chained on one `Rng` see the same draws.
+  pairs at a time; a step admits at most one member, so every buffer is
+  used up and the stream ends where 2 * raw `uniform()` calls leave it.
+  A quantile rule's block is at most B = 8 * isqrt(k) steps, so its
+  summary stays inside the window [L, H] = [select(r0 - B), select(r0 + B)]
+  of the block's start group.  `rules.block_decisions` decides every pair
+  at L and at H in numpy; Python walks, in step order, only the pairs
+  decided differently and the admissions landing inside [L, H], reading
+  the summary from the window as a sorted list, offset by the admissions
+  below L.  Below _WINDOW_MIN members every step is walked over the whole
+  group, as a sorted list.
+  Consensus needs no window: its min only falls and its max only rises, so
+  a pair rejected at the block's start stays rejected.
 * ``jump`` (veto rules only): the number of consecutive rejected steps is
   sampled from the geometric law implied by the total acceptance
-  probability `oracles.accept_any_veto`, and the admitted value is drawn
-  from the exact conditional distribution of the accepted candidate.  Same
-  process law, radically cheaper when the acceptance probability collapses
-  (r > 1/2 runs need ~k^2 raw steps for k accepted members, which is
-  unreachable step by step).  Trajectories from the two modes are
-  different sample paths of the same distribution.  Jump mode draws one
-  `uniform()` at a time: it may stop between the two draws of a member
-  (budget) or before any (stuck process), so a buffer could overshoot.
+  probability `oracles.accept_any_veto`, and the admitted value from the
+  exact conditional distribution of the accepted candidate: the same
+  process law, cheap when acceptance collapses (r > 1/2 runs need ~k^2 raw
+  steps for k members).  Members are drawn one at a time with `uniform()`,
+  since a budget or a stuck process may stop a run between two draws and a
+  buffer could overshoot; each reads its quantile from the window list.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .group import GroupState
+import numpy as np
+
+from .group import GroupState, quantile_rank
 from .oracles import accept_any_veto
+from .records import Record
 from .rng import Rng
-from .rules import RuleSpec, kernel
+from .rules import RuleSpec, block_decisions, block_kernel, kernel
 
 _CHUNK_PAIRS = 32768  # most candidate pairs the steps driver draws at once
+_WINDOW_MIN = 2048  # smaller groups are walked whole: numpy would decide nothing
+_CONSENSUS_PAIRS = 4096  # a consensus block's pairs; bounds the lists it walks
 
 
-@dataclass
-class Checkpoint:
+@dataclass(repr=False, eq=False)
+class Checkpoint(Record):
     k: int                      # group size
     steps: int                  # raw steps so far
     q_p: Optional[float]        # driving quantile (None for consensus)
@@ -57,8 +66,8 @@ class Checkpoint:
     extra: dict = field(default_factory=dict)   # extra tracked quantiles
 
 
-@dataclass
-class Trajectory:
+@dataclass(repr=False, eq=False)
+class Trajectory(Record):
     checkpoints: list
     raw_steps: int
     accepted: int
@@ -106,6 +115,176 @@ def _rejections(q: float, p_acc: float, u: float) -> int:
     return int(2.0 ** (bits - shift)) << shift
 
 
+def _sorted_pairs(rng: Rng, n: int) -> tuple:
+    """n candidate pairs from 2n draws, as arrays of lower and upper ends."""
+    u = rng.uniform_block(2 * n)
+    return np.minimum(u[0::2], u[1::2]), np.maximum(u[0::2], u[1::2])
+
+
+def _window(group: GroupState, p: float) -> tuple:
+    """The block's span B and its rank window around the p-quantile.
+
+    Returns (B, lo, window, lo_c, hi_c): the members of ranks lo..hi as a
+    sorted list, and the values that split an admission into below the
+    window, inside it (lo_c <= y <= hi_c) or above it.  A window that
+    reaches an end of the group takes every admission on that side.
+    """
+    k = group.size
+    span = 8 * math.isqrt(k)
+    r0 = quantile_rank(p, k)
+    lo, hi = (1, k) if k < _WINDOW_MIN else \
+        (max(1, r0 - span), min(k, r0 + span))
+    window = group.members(lo, hi)
+    lo_c = -math.inf if lo == 1 else window[0]
+    hi_c = math.inf if hi == k else window[-1]
+    return span, lo, window, lo_c, hi_c
+
+
+def _plain_block(group: GroupState, rule: RuleSpec, decision,
+                 a: np.ndarray, b: np.ndarray, cap: int) -> tuple:
+    """Below _WINDOW_MIN members: every step of a quantile-driven rule is
+    walked over the whole group as a sorted list, the summary re-read only
+    when a member joins, until `cap` members have joined or the block's
+    pairs run out: B of them, or as many as `cap` admissions need at the
+    start summary's acceptance rate.  Returns the admitted opinions in step
+    order and the number of steps taken."""
+    num, den = rule.p.as_integer_ratio()
+    k = group.size
+    s = group.quantile(rule.p)
+    p_acc = block_kernel(rule)[1](s)
+    n = min(a.size, max(8 * math.isqrt(k),
+                        math.ceil(cap / p_acc) if p_acc > 0.0 else a.size))
+    members, out = None, []  # the list is built at the first admission
+    for i, y1, y2 in zip(range(n), a[:n].tolist(), b[:n].tolist()):
+        y = decision(s, y1, y2)
+        if y is None:  # 0.0 is a legal opinion
+            continue
+        if members is None:
+            members = group.values()
+        insort(members, y)
+        out.append(y)
+        if len(out) >= cap:
+            return np.array(out), i + 1
+        k += 1
+        s = members[-(-num * k // den) - 1]
+    return np.array(out, dtype=np.float64), n
+
+
+def _quantile_block(group: GroupState, rule: RuleSpec, decision,
+                    a: np.ndarray, b: np.ndarray, cap: int) -> tuple:
+    """Steps of a quantile-driven rule over the sorted pairs (a, b), in
+    order, until `cap` members have joined or B pairs are used.  Returns
+    the admitted opinions in step order and the number of steps taken."""
+    k0 = group.size
+    num, den = rule.p.as_integer_ratio()
+    span, lo, window, lo_c, hi_c = _window(group, rule.p)
+    n = min(a.size, span)
+    a, b = a[:n], b[:n]
+    ys, sure = block_decisions(rule, max(lo_c, 0.0), min(hi_c, 1.0), a, b)
+    joins = sure & (ys == ys)
+    below = joins & (ys < lo_c)
+    outside = below | (joins & (ys > hi_c))
+    walk = np.flatnonzero(~sure | (joins & ~outside))
+    # sure admissions outside the window join without being walked; their
+    # counts before each walked step (none is one of them) give the group's
+    # size, and those below the window shift its ranks
+    out_cum = np.cumsum(outside)
+    ev_out = out_cum[walk].tolist()
+    ev_below = np.cumsum(below)[walk].tolist()
+    ev_y = np.where(sure, ys, math.nan)[walk].tolist()
+    ev_a, ev_b = a[walk].tolist(), b[walk].tolist()
+
+    joined = below_n = 0     # walked admissions, and those below the window
+    last, stop = -1, None
+    out_i, out_y = [], []
+    for i, y1, y2, y, n_out, n_below in zip(walk.tolist(), ev_a, ev_b, ev_y,
+                                            ev_out, ev_below):
+        before = n_out + joined  # members joined in the block before step i
+        if before >= cap:  # reached by an admission outside the window
+            break
+        last = i
+        if y != y:  # NaN: not decided at both ends of the window
+            k = k0 + before
+            y = decision(window[-(-num * k // den) - lo - n_below - below_n],
+                         y1, y2)
+            if y is None:  # 0.0 is a legal opinion
+                continue
+            out_i.append(i)
+            out_y.append(y)
+            if y < lo_c:
+                below_n += 1
+            elif y <= hi_c:
+                insort(window, y)
+        else:
+            insort(window, y)
+        joined += 1
+        if before + 1 >= cap:
+            stop = i + 1
+            break
+    if stop is None:  # did an admission outside the window reach the cap?
+        j = last + 1 + int(np.searchsorted(out_cum[last + 1:], cap - joined))
+        stop = min(j + 1, n)
+    res = np.where(sure[:stop], ys[:stop], math.nan)
+    res[out_i] = out_y
+    return res[res == res], stop
+
+
+def _consensus_block(group: GroupState, rule: RuleSpec, decision,
+                     a: np.ndarray, b: np.ndarray, cap: int) -> tuple:
+    """Consensus steps over at most _CONSENSUS_PAIRS sorted pairs (a, b),
+    in order, until `cap` members have joined; returns the admitted
+    opinions in step order and the number of steps taken."""
+    a, b = a[:_CONSENSUS_PAIRS], b[:_CONSENSUS_PAIRS]
+    extremes = (group.min(), group.max())
+    _, sure = block_decisions(rule, extremes, (0.0, 1.0), a, b)
+    walk = np.flatnonzero(~sure)
+    out = []
+    for i, y1, y2 in zip(walk.tolist(), a[walk].tolist(), b[walk].tolist()):
+        y = decision(extremes, y1, y2)
+        if y is None:
+            continue
+        out.append(y)
+        extremes = (min(extremes[0], y), max(extremes[1], y))
+        if len(out) >= cap:
+            return np.array(out), i + 1
+    return np.array(out, dtype=np.float64), a.size
+
+
+def _jump_block(group: GroupState, p: float, uniform, cap: int, raw: int,
+                raw_budget: Optional[int]) -> tuple:
+    """Up to min(cap, B) jump-mode members, drawn one at a time.  Returns
+    the members in order, the raw step count, and whether the run ends
+    here (budget spent or a stuck process)."""
+    k0 = group.size
+    num, den = p.as_integer_ratio()
+    span, lo, window, lo_c, hi_c = _window(group, p)
+    out = []
+    below = 0
+    for k in range(k0, k0 + min(cap, span)):
+        if raw_budget is not None and raw >= raw_budget:
+            return out, raw, True
+        q = window[-(-num * k // den) - lo - below]
+        if q <= 0.0:
+            return out, raw, True  # stuck process: report exhaustion
+        p_acc = accept_any_veto(q)
+        u = uniform()
+        if p_acc < 1.0:
+            # rejections, then the acceptance itself
+            skipped = _rejections(q, p_acc, u)
+            if raw_budget is not None and raw + skipped + 1 > raw_budget:
+                return out, raw_budget, True
+            raw += skipped + 1
+        else:
+            raw += 1
+        y = _accepted_veto_value(q, p_acc, uniform())
+        out.append(y)
+        if y < lo_c:
+            below += 1
+        elif y <= hi_c:
+            insort(window, y)
+    return out, raw, False
+
+
 def run(initial: GroupState, rule: RuleSpec, rng: Rng,
         accepted_target: Optional[int] = None,
         raw_budget: Optional[int] = None,
@@ -139,7 +318,6 @@ def run(initial: GroupState, rule: RuleSpec, rng: Rng,
     raw = 0
 
     p, tau = rule.p, rule.tau
-    insert = group.insert
     quantile = group.quantile
 
     def record():
@@ -154,58 +332,48 @@ def run(initial: GroupState, rule: RuleSpec, rng: Rng,
 
     if mode == "jump":
         uniform = rng.uniform
-        while (goal is None or group.size < goal) and \
-              (raw_budget is None or raw < raw_budget):
-            q = quantile(p)
-            if q <= 0.0:
-                break  # stuck process: report exhaustion below
-            p_acc = accept_any_veto(q)
-            u = uniform()
-            if p_acc < 1.0:
-                # rejections, then the acceptance itself
-                skipped = _rejections(q, p_acc, u)
-                if raw_budget is not None and raw + skipped + 1 > raw_budget:
-                    raw = raw_budget
-                    break
-                raw += skipped + 1
-            else:
-                raw += 1
-            y = _accepted_veto_value(q, p_acc, uniform())
-            insert(y)
+        done = False
+        while not done and (goal is None or group.size < goal) and \
+                (raw_budget is None or raw < raw_budget):
+            cap = next_ck if goal is None else min(next_ck, goal)
+            new, raw, done = _jump_block(group, p, uniform, cap - group.size,
+                                         raw, raw_budget)
+            group.insert_many(new)
             if admitted is not None:
-                admitted.append(y)
+                admitted.extend(new)
             if group.size >= next_ck:
                 record()
                 next_ck = _next_checkpoint(group.size)
     else:
-        summary, decision = kernel(rule, group)
-        s = summary()
+        decision = kernel(rule)
+        a = b = np.empty(0)  # the buffer's sorted pairs, from `pos` on
+        pos = 0
         while (goal is None or group.size < goal) and \
               (raw_budget is None or raw < raw_budget):
-            # a step admits at most one member, so a chunk of `need` pairs
-            # cannot overshoot either limit and every draw in it is used;
-            # the exhausted iterator then frees its list before the next
-            # chunk is drawn
-            need = _CHUNK_PAIRS
-            if goal is not None:
-                need = min(need, goal - group.size)
-            if raw_budget is not None:
-                need = min(need, raw_budget - raw)
-            draws = iter(rng.uniform_block(2 * need).tolist())
-            for u1, u2 in zip(draws, draws):
-                if u2 < u1:
-                    u1, u2 = u2, u1
-                raw += 1
-                y = decision(s, u1, u2)
-                if y is None:  # 0.0 is a legal opinion
-                    continue
-                insert(y)
-                s = summary()  # every summary moves only when a member joins
-                if admitted is not None:
-                    admitted.append(y)
-                if group.size >= next_ck:
-                    record()
-                    next_ck = _next_checkpoint(group.size)
+            if pos == a.size:
+                # a step admits at most one member, so a buffer of `need`
+                # pairs cannot overshoot either limit and every draw in it
+                # is used
+                need = _CHUNK_PAIRS
+                if goal is not None:
+                    need = min(need, goal - group.size)
+                if raw_budget is not None:
+                    need = min(need, raw_budget - raw)
+                a = b = None  # free the spent buffer before drawing anew
+                a, b = _sorted_pairs(rng, need)
+                pos = 0
+            block = _consensus_block if p is None else _plain_block \
+                if group.size < _WINDOW_MIN else _quantile_block
+            new, steps = block(group, rule, decision, a[pos:], b[pos:],
+                               next_ck - group.size)
+            pos += steps
+            raw += steps
+            group.insert_many(new)
+            if admitted is not None:
+                admitted.extend(new.tolist())
+            if group.size >= next_ck:
+                record()
+                next_ck = _next_checkpoint(group.size)
 
     if checkpoints[-1].k != group.size:  # k strictly increasing per checkpoint
         record()

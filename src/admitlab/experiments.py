@@ -20,12 +20,13 @@ from . import adversaries, oracles, stats
 from .committee import Committee
 from .engine import run
 from .group import GroupState
+from .records import FrozenRecord, Record
 from .rng import Rng
 from .rules import RuleSpec
 
 
-@dataclass
-class Verdict:
+@dataclass(repr=False, eq=False)
+class Verdict(Record):
     """One criterion's outcome; `checked` counts the sample it judged."""
 
     num: int
@@ -44,8 +45,8 @@ class Verdict:
                 f"{'PASS' if self.passed else 'FAIL'} ({self.detail})")
 
 
-@dataclass(frozen=True)
-class Criterion:
+@dataclass(frozen=True, repr=False, eq=False)
+class Criterion(FrozenRecord):
     num: int
     name: str
     slug: str      # identifier naming the criterion's pytest test

@@ -1,100 +1,74 @@
 """Order-statistic multiset for the growing group's opinions.
 
-Members live in sorted runs that follow the members, not the value range: a
-run holding more than 2 * _LOAD members is split in half, so mass collapsed
-into a tiny interval spreads over as many runs as mass spread over [0, 1].
-`_tops[b]` is the largest member of run b, and no later run holds a smaller
-one; the last top is `inf`, so `bisect_left(_tops, x)` always names x's run,
-in the empty group (one empty run) too.  A finger, run `_b` with `_start`
-members before it, stays where the last `select` stopped: the driving rank
-ceil(p * k) moves by 0 or 1 per admission, so `select` walks from it one run
-at a time.  `_sums`, the prefix counts of the run lengths, is dropped by an
-insert and rebuilt by the next count: counts come in bursts (checkpoints,
-density monitors, the progress test).  With R ~ k / _LOAD runs: insert
-O(log R + _LOAD), select O(1 + runs walked), counts O(log R + log _LOAD) plus
-one O(R) rebuild after inserts, min and max O(1), the constructor one sort.
-Exact: runs hold the full floats.  Groups never shrink: no deletion.
+The members are one sorted float64 numpy array.  `select` is an index,
+counts are `searchsorted` (over an array of points too, in one call), min
+and max read the ends: all O(1) or O(log k).  The engine grows the group a
+block at a time: `insert_many` merges a batch with one `np.insert` at the
+`searchsorted` positions, O(k + m log m) for m new members, and `members`
+hands the engine a rank window as a sorted Python list to walk.  A single
+`insert` costs O(k); it serves tests and the microbenchmark.  Every value
+returned is a Python float, never `np.float64`.  Exact: the array holds the
+full floats.  Groups never shrink: no deletion.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
-from itertools import accumulate, chain
-from math import inf
+import numpy as np
 
-_LOAD = 512  # runs are cut to this length; one is split past twice it
+
+def _unit_array(values) -> np.ndarray:
+    """`values` as a float64 array, each checked to lie in [0, 1]."""
+    vals = np.asarray(values, dtype=np.float64).ravel()
+    bad = vals[~((vals >= 0.0) & (vals <= 1.0))]  # NaN fails both
+    if bad.size:
+        raise ValueError(f"opinion {bad.item(0)!r} outside [0, 1]")
+    return vals
 
 
 class GroupState:
-    """Multiset of opinions in [0, 1] with rank counts and a finger select."""
+    """Multiset of opinions in [0, 1] with rank selection and counts."""
 
-    __slots__ = ("_runs", "_tops", "_size", "_b", "_start", "_sums")
+    __slots__ = ("_a",)
 
     def __init__(self, values=()):
-        vals = sorted(values)
-        for v in vals:
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"opinion {v!r} outside [0, 1]")
-        runs = [vals[i:i + _LOAD] for i in range(0, len(vals), _LOAD)]
-        self._runs = runs or [[]]
-        self._tops = [run[-1] for run in runs[:-1]] + [inf]
-        self._size = len(vals)
-        self._b = self._start = 0
-        self._sums = None
+        self._a = np.sort(_unit_array(values))
 
     @property
     def size(self) -> int:
-        return self._size
+        return self._a.size
 
     def insert(self, x: float) -> None:
-        """Add one opinion; duplicates are kept."""
-        if not 0.0 <= x <= 1.0:
-            raise ValueError(f"opinion {x!r} outside [0, 1]")
-        b = bisect_left(self._tops, x)
-        run = self._runs[b]
-        insort(run, x)  # x <= _tops[b], so the top is unchanged
-        self._size += 1
-        self._sums = None
-        if b < self._b:  # the new member lies before the finger's run
-            self._start += 1
-        if len(run) > 2 * _LOAD:
-            self._runs.insert(b + 1, run[_LOAD:])
-            del run[_LOAD:]
-            self._tops.insert(b, run[-1])
-            if b < self._b:  # an earlier run split; the finger's own keeps it
-                self._b += 1
+        """Add one opinion, in O(k); duplicates are kept."""
+        self.insert_many([x])
+
+    def insert_many(self, values) -> None:
+        """Add a batch of opinions (a sequence or an array) in one merge;
+        duplicates are kept."""
+        if len(values):
+            vals = np.sort(_unit_array(values))
+            self._a = np.insert(self._a, self._a.searchsorted(vals), vals)
 
     def select(self, rank: int) -> float:
         """rank-th smallest member, 1-based."""
-        if not 1 <= rank <= self._size:
-            raise IndexError(f"rank {rank} out of range 1..{self._size}")
-        runs, b, start = self._runs, self._b, self._start
-        while rank <= start:
-            b -= 1
-            start -= len(runs[b])
-        run = runs[b]
-        while rank > start + len(run):
-            start += len(run)
-            b += 1
-            run = runs[b]
-        self._b, self._start = b, start
-        return run[rank - start - 1]
+        if not 1 <= rank <= self._a.size:
+            raise IndexError(f"rank {rank} out of range 1..{self._a.size}")
+        return self._a.item(rank - 1)
 
-    def _prefix(self, b: int) -> int:
-        """Count of members in runs 0..b-1."""
-        if self._sums is None:
-            self._sums = list(accumulate(map(len, self._runs), initial=0))
-        return self._sums[b]
+    def members(self, lo: int, hi: int) -> list[float]:
+        """Members of ranks lo..hi (1-based, inclusive), in sorted order."""
+        if not 1 <= lo <= hi <= self._a.size:
+            raise IndexError(f"ranks {lo}..{hi} out of range 1..{self._a.size}")
+        return self._a[lo - 1:hi].tolist()
 
-    def count_lt(self, x: float) -> int:
-        """Members strictly below x."""
-        b = bisect_left(self._tops, x)
-        return self._prefix(b) + bisect_left(self._runs[b], x)
+    def count_lt(self, x):
+        """Members strictly below x; an array of counts for an array of x."""
+        c = self._a.searchsorted(x, "left")
+        return c if isinstance(c, np.ndarray) else int(c)
 
-    def count_le(self, x: float) -> int:
-        """Members at or below x."""
-        b = bisect_right(self._tops, x)
-        return self._prefix(b) + bisect_right(self._runs[b], x)
+    def count_le(self, x):
+        """Members at or below x; an array of counts for an array of x."""
+        c = self._a.searchsorted(x, "right")
+        return c if isinstance(c, np.ndarray) else int(c)
 
     def count_interval(self, lo: float, hi: float, bounds: str = "closed") -> int:
         """Members in [lo, hi] (closed) or [lo, hi) (half_open)."""
@@ -112,13 +86,11 @@ class GroupState:
         The member at this rank is the smallest q with at least p*k members
         at or below it and at most p*k strictly below it.
         """
-        if self._size == 0:
+        if self._a.size == 0:
             raise ValueError("quantile of empty group")
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"quantile parameter {p!r} outside [0, 1]")
-        num, den = p.as_integer_ratio()  # exact: p is a dyadic rational
-        r = -((-num * self._size) // den)  # ceil(p * size) in integer math
-        return r if r > 1 else 1
+        return quantile_rank(p, self._a.size)
 
     def quantile(self, p: float) -> float:
         """Smallest member satisfying the two quantile inequalities."""
@@ -126,20 +98,27 @@ class GroupState:
 
     def median(self) -> float:
         """quantile(1/2); the lower median for even sizes."""
-        if self._size == 0:
+        if self._a.size == 0:
             raise ValueError("median of empty group")
-        return self.select((self._size + 1) >> 1)
+        return self._a.item((self._a.size - 1) >> 1)
 
     def min(self) -> float:
-        if self._size == 0:
+        if self._a.size == 0:
             raise ValueError("min of empty group")
-        return self._runs[0][0]
+        return self._a.item(0)
 
     def max(self) -> float:
-        if self._size == 0:
+        if self._a.size == 0:
             raise ValueError("max of empty group")
-        return self._runs[-1][-1]
+        return self._a.item(-1)
 
     def values(self) -> list[float]:
         """All members in sorted order (O(k); for checkpoints and tests)."""
-        return list(chain.from_iterable(self._runs))
+        return self._a.tolist()
+
+
+def quantile_rank(p: float, k: int) -> int:
+    """max(1, ceil(p * k)) in integer math: exact, as p is a dyadic rational."""
+    num, den = p.as_integer_ratio()
+    r = -((-num * k) // den)
+    return r if r > 1 else 1

@@ -12,10 +12,34 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+import numpy as np
 
-def _check_unit(x: float, name: str = "x") -> None:
-    if not 0.0 <= x <= 1.0:
+from .records import FrozenRecord
+
+
+def _check_unit(x, name: str = "x") -> None:
+    """Raise unless x, a float or every entry of an array, lies in [0, 1]."""
+    if isinstance(x, np.ndarray):
+        bad = x[~((x >= 0.0) & (x <= 1.0))]  # NaN fails both
+        if bad.size:
+            raise ValueError(f"{name}={bad.item(0)!r} outside [0, 1]")
+    elif not 0.0 <= x <= 1.0:
         raise ValueError(f"{name}={x!r} outside [0, 1]")
+
+
+def _branch(cond, left, right):
+    """left where cond holds, else right: elementwise over arrays."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, left, right)
+    return left if cond else right
+
+
+def _square(t):
+    """t ** 2 rounded as Python's float power rounds it, elementwise over
+    arrays: `np.float_power` calls the same libm pow, while numpy's `**`
+    squares with one multiply and differs in the last bit for about one
+    value in a thousand."""
+    return np.float_power(t, 2.0) if isinstance(t, np.ndarray) else t ** 2
 
 
 def f_majority(q: float) -> float:
@@ -56,11 +80,11 @@ def triangle_pdf(x: float) -> float:
     return 4.0 * x if x <= 0.5 else 4.0 - 4.0 * x
 
 
-def triangle_cdf(x: float) -> float:
+def triangle_cdf(x):
+    """CDF of the triangle law at x: a float, or a numpy array evaluated
+    elementwise with the same rounding as the float."""
     _check_unit(x)
-    if x <= 0.5:
-        return 2.0 * x * x
-    return 1.0 - 2.0 * (1.0 - x) ** 2
+    return _branch(x <= 0.5, 2.0 * x * x, 1.0 - 2.0 * _square(1.0 - x))
 
 
 def truncated_triangle_pdf(x: float, q: float) -> float:
@@ -74,14 +98,15 @@ def truncated_triangle_pdf(x: float, q: float) -> float:
     return (4.0 * q - 2.0 * x) / norm
 
 
-def truncated_triangle_cdf(x: float, q: float) -> float:
+def truncated_triangle_cdf(x, q: float):
+    """CDF of the truncated triangle law at x (a float, or a numpy array
+    evaluated elementwise) for the quantile parameter q > 1/2."""
     _check_unit(x)
     if not 0.5 < q <= 1.0:
         raise ValueError(f"truncated triangle needs q in (1/2, 1], got {q!r}")
     norm = 1.0 - 2.0 * (1.0 - q) ** 2
-    if x <= q:
-        return x * x / norm
-    return (4.0 * q * x - 2.0 * q * q - x * x) / norm
+    return _branch(x <= q, x * x / norm,
+                   (4.0 * q * x - 2.0 * q * q - x * x) / norm)
 
 
 def phi1_bound(p: float) -> float:
@@ -96,8 +121,8 @@ def phi1_bound(p: float) -> float:
     return 0.5 * (math.sqrt(2.0 * p * p - p) + 0.5 - p)
 
 
-@dataclass(frozen=True)
-class OracleContext:
+@dataclass(frozen=True, repr=False, eq=False)
+class OracleContext(FrozenRecord):
     """Closed-form bundle for one quantile-driven rule."""
 
     p: float
@@ -112,8 +137,8 @@ class OracleContext:
             raise ValueError("fixed-point identity f(tau) = p fails")
 
 
-@dataclass(frozen=True)
-class GapValues:
+@dataclass(frozen=True, repr=False, eq=False)
+class GapValues(FrozenRecord):
     g_r: float
     g_l: float
     clamped: bool = False

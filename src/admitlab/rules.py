@@ -3,25 +3,26 @@
 Each rule looks only at the summary it is allowed to see (median for
 majority, extremes for consensus, the (1-r)-quantile for veto).  A decision
 returns the opinion it admits, or None when nobody joins; the row of each
-quantile-driven rule holds its decision in scalar form and in block form,
-over numpy arrays of sorted pairs.  Exact ties always resolve toward the
-left (smaller) candidate so replays are deterministic.
+rule holds its decision in scalar form and in block form, over numpy arrays
+of sorted pairs, where NaN marks a pair that admits nobody.  Exact ties
+always resolve toward the left (smaller) candidate so replays are
+deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from . import oracles
 from .group import GroupState
+from .records import FrozenRecord
 
 
-@dataclass(frozen=True)
-class CandidatePair:
+@dataclass(frozen=True, repr=False, eq=False)
+class CandidatePair(FrozenRecord):
     """Two candidate opinions, normalized so y1 <= y2."""
 
     y1: float
@@ -65,26 +66,37 @@ def veto_decide(q_threshold: float, y1: float, y2: float) -> Optional[float]:
     return None
 
 
+def _consensus_block(extremes: tuple, a, b):
+    min_member, max_member = extremes
+    mid = (a + b) * 0.5
+    return np.where(mid >= max_member, a, np.where(mid < min_member, b, np.nan))
+
+
+# Majority's float decision is monotone in the median only for pairs at least
+# this wide: for s >= y2 in [0, 1] the two distances then differ by more than
+# their rounding, while a narrower pair can tie them there (y1 = 1e-20,
+# y2 = 2e-20 admits y1 at s = 1e-20 and at s = 0.3, but y2 at s = 1.9e-20).
+_MAJORITY_MONOTONE_WIDTH = 2.0 ** -50
+
 # kind -> (driving quantile p from r, limit tau_p of q_p from p, smoothness
-# constants (c1, c2), reader of the rule's summary bound to a group and p,
-# decision, block decision, chance that a step admits anyone at a summary)
+# constants (c1, c2), decision, block decision, chance that a step admits
+# anyone at a summary, narrowest pair whose block decision is monotone in
+# the summary)
 _RULES = {
-    "majority": (lambda r: 0.5, lambda p: 0.5, (1.0, 2.0),
-                 lambda group, p: group.median, majority_decide,
+    "majority": (lambda r: 0.5, lambda p: 0.5, (1.0, 2.0), majority_decide,
                  lambda m, a, b: np.where(abs(m - a) <= abs(m - b), a, b),
-                 lambda m: 1.0),
+                 lambda m: 1.0, _MAJORITY_MONOTONE_WIDTH),
     "consensus": (lambda r: None, lambda p: None, (1.0, 2.0),
-                  lambda group, p: lambda: (group.min(), group.max()),
-                  consensus_decide, None, None),
+                  consensus_decide, _consensus_block, None, 0.0),
     "veto": (lambda r: 1.0 - r, lambda p: oracles.tau(p) if p > 0.5 else None,
-             (1.0, 4.0), lambda group, p: partial(group.quantile, p),
-             veto_decide, lambda q, a, b: b[(a + b) * 0.5 < q],
-             oracles.accept_any_veto),
+             (1.0, 4.0), veto_decide,
+             lambda q, a, b: np.where((a + b) * 0.5 < q, b, np.nan),
+             oracles.accept_any_veto, 0.0),
 }
 
 
-@dataclass(frozen=True)
-class RuleSpec:
+@dataclass(frozen=True, repr=False, eq=False)
+class RuleSpec(FrozenRecord):
     """Which admission rule drives a run: its kind, and r for veto.
 
     The other fields come from the kind's row of the rules table.  `p` is
@@ -115,26 +127,41 @@ class RuleSpec:
         object.__setattr__(self, "c2", c2)
 
 
-def kernel(rule: RuleSpec, group: GroupState) -> tuple:
-    """The rule's summary reader bound to `group`, and its decision.
-
-    The reader takes no argument and returns the only summary the rule
-    sees (median, (min, max) or the p-quantile); the summary changes only
-    when a member joins.  The decision maps (summary, y1, y2), y1 <= y2,
-    to the admitted opinion, or None when nobody joins.
-    """
-    bind, decision = _RULES[rule.kind][3:5]
-    return bind(group, rule.p), decision
+def kernel(rule: RuleSpec):
+    """The rule's decision, mapping its summary (median, (min, max) or the
+    p-quantile) and a pair y1 <= y2 to the admitted opinion, or None when
+    nobody joins."""
+    return _RULES[rule.kind][3]
 
 
 def block_kernel(rule: RuleSpec) -> tuple:
     """The rule's block decision, mapping (summary, y1, y2) over arrays of
-    sorted pairs to the admitted opinions in pair order, and the chance that
-    a step admits anyone at a fixed summary.  Consensus raises ValueError."""
-    block, accept_prob = _RULES[rule.kind][5:]
-    if block is None:
+    sorted pairs to each pair's admitted opinion (NaN: nobody joins), and
+    the chance that a step admits anyone at a fixed summary.  Consensus has
+    no such chance and raises ValueError."""
+    block, accept_prob = _RULES[rule.kind][4:6]
+    if accept_prob is None:
         raise ValueError(f"no frozen-summary sampler for rule {rule.kind!r}")
     return block, accept_prob
+
+
+def block_decisions(rule: RuleSpec, lo, hi, a: np.ndarray,
+                    b: np.ndarray) -> tuple:
+    """Each sorted pair's admitted opinion at summary `lo` (NaN: nobody
+    joins), and a mask of the pairs that every summary from `lo` to `hi`
+    decides the same way.
+
+    A quantile rule's summary is a member value and lo <= hi: a decision
+    monotone in it that agrees at both ends agrees in between.  Consensus
+    reads the (min, max) span and `hi` must contain `lo`: a wider span only
+    turns admissions into rejections.
+    """
+    block, width = _RULES[rule.kind][4], _RULES[rule.kind][6]
+    y, y_hi = block(lo, a, b), block(hi, a, b)
+    sure = (y == y_hi) | ((y != y) & (y_hi != y_hi))  # NaN != NaN
+    if width:
+        sure &= b - a >= width
+    return y, sure
 
 
 def decide(rule: RuleSpec, group: GroupState,
@@ -143,5 +170,6 @@ def decide(rule: RuleSpec, group: GroupState,
     summary, or None when nobody joins.
 
     An empty group has no summary: reading it raises ValueError."""
-    summary, decision = kernel(rule, group)
-    return decision(summary(), pair.y1, pair.y2)
+    summary = (group.min(), group.max()) if rule.p is None \
+        else group.quantile(rule.p)
+    return kernel(rule)(summary, pair.y1, pair.y2)

@@ -18,25 +18,30 @@ import numpy as np
 
 from .group import GroupState
 from .oracles import OracleContext, gap_functions
+from .records import Record
 from .rng import Rng
 from .rules import RuleSpec, block_kernel
 
 _PASS_PAIRS = 1 << 15  # most candidate pairs a frozen-summary pass draws
+# most candidate pairs a frozen-summary call may expect to need (about 13 s
+# of draws at 25 ns each); a veto summary of 1e-10 would need 5e20
+_MAX_PAIRS = 1 << 28
 
 
 # --------------------------------------------------------------------- KS
 
-def ks_distance(samples: Sequence[float], cdf: Callable[[float], float]) -> float:
+def ks_distance(samples: Sequence[float], cdf: Callable) -> float:
     """Two-sided sup distance between the sample ECDF and a reference CDF.
 
     Evaluated at the sample points, taking both one-sided gaps into
-    account (the sup of |F_n - F| is attained at a jump).
+    account (the sup of |F_n - F| is attained at a jump).  `cdf` takes the
+    sorted samples as one numpy array and returns their CDF values.
     """
     xs = np.sort(np.asarray(samples, dtype=float))
     n = len(xs)
     if n == 0:
         raise ValueError("empty sample")
-    ref = np.array([cdf(x) for x in xs])
+    ref = np.asarray(cdf(xs), dtype=float)
     upper = np.max(np.arange(1, n + 1) / n - ref)
     lower = np.max(ref - np.arange(0, n) / n)
     return float(max(upper, lower))
@@ -49,8 +54,8 @@ def default_delta(k: int) -> float:
     return k ** -0.1
 
 
-@dataclass
-class DensityVerdict:
+@dataclass(repr=False, eq=False)
+class DensityVerdict(Record):
     passed: bool
     violations: list  # (lo, hi, count, lower_bound, upper_bound)
     checked: int
@@ -65,8 +70,9 @@ def check_density_bounds(group: GroupState, widths: Sequence[float],
     Windows of each width slide through `region` on an `align` grid
     (half the smallest width by default).  A window [a, b] passes when
     lower_per_len * |I| <= count <= upper_per_len * |I|, counts taken
-    half-open except at the right edge of [0, 1].  No verdict passes
-    without a window checked.
+    half-open except at the right edge of [0, 1], all from one
+    `searchsorted` over the window edges.  No verdict passes without a
+    window checked.
     """
     if not all(w > 0 for w in widths):
         raise ValueError(f"widths must be positive, got {list(widths)}")
@@ -75,23 +81,29 @@ def check_density_bounds(group: GroupState, widths: Sequence[float],
     lo_r, hi_r = region
     if align is None and widths:
         align = min(widths) / 2.0
-    violations = []
-    checked = 0
+    windows = []  # (a, b, w)
     for w in widths:
         a = lo_r
         while a + w <= hi_r + 1e-12:
-            b = min(a + w, hi_r)
-            if b >= 1.0:
-                cnt = group.count_interval(a, 1.0, "closed")
-            else:
-                cnt = group.count_interval(a, b, "half_open")
-            lower = lower_per_len * w
-            upper = upper_per_len * w
-            checked += 1
-            if not (lower <= cnt <= upper):
-                violations.append((a, b, int(cnt), lower, upper))
+            windows.append((a, min(a + w, hi_r), w))
             a += align
-    return DensityVerdict(checked > 0 and not violations, violations, checked)
+    m = len(windows)
+    # every window edge counted in one searchsorted: members below a, b
+    below = group.count_lt(np.array([x for a, b, _ in windows
+                                     for x in (a, b)])).tolist()
+    top = group.count_le(1.0)
+    violations = []
+    for (a, b, w), below_a, below_b in zip(windows, below[0::2],
+                                           below[1::2]):
+        hi_edge, upto = (1.0, top) if b >= 1.0 else (b, below_b)
+        if a > hi_edge:
+            raise ValueError(f"empty interval: lo={a} > hi={hi_edge}")
+        cnt = upto - below_a
+        lower = lower_per_len * w
+        upper = upper_per_len * w
+        if not (lower <= cnt <= upper):
+            violations.append((a, b, cnt, lower, upper))
+    return DensityVerdict(m > 0 and not violations, violations, m)
 
 
 # --------------------------------------- frozen-summary single-step probes
@@ -101,13 +113,20 @@ def _frozen_step_values(rule: RuleSpec, summary: float, trials: int,
     """Admitted opinions from `trials` single steps with the rule summary
     (median or driving quantile) held fixed, conditioned on acceptance: a
     pass draws the pairs expected to give the admissions still wanted.  A
-    summary at which no step admits anyone raises ValueError."""
+    summary at which no step admits anyone, or so few that the admissions
+    wanted need more than _MAX_PAIRS pairs on average, raises ValueError."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
     decide, accept_prob = block_kernel(rule)
     p_acc = accept_prob(summary)
     if not p_acc > 0.0:
         raise ValueError(f"no step admits anyone at summary {summary!r}")
+    if trials / p_acc > _MAX_PAIRS:
+        raise ValueError(
+            f"at summary {summary!r} a step admits with probability "
+            f"{p_acc!r}: {trials} admissions need about "
+            f"{trials / p_acc:.3g} candidate pairs, past the cap of "
+            f"{_MAX_PAIRS}")
     out = np.empty(trials)
     have = 0
     while have < trials:
@@ -115,6 +134,7 @@ def _frozen_step_values(rule: RuleSpec, summary: float, trials: int,
         u = rng.uniform_block(2 * m)
         a, b = u[0::2], u[1::2]
         vals = decide(summary, np.minimum(a, b), np.maximum(a, b))
+        vals = vals[vals == vals]  # NaN: the pair admitted nobody
         take = min(len(vals), trials - have)
         out[have:have + take] = vals[:take]
         have += take
@@ -135,8 +155,8 @@ def estimate_interval_accept_prob(rule: RuleSpec, frozen_summary: float,
     return est, se
 
 
-@dataclass
-class IntervalEstimate:
+@dataclass(repr=False, eq=False)
+class IntervalEstimate(Record):
     q: float
     lo: float
     hi: float
@@ -147,8 +167,8 @@ class IntervalEstimate:
     passed: bool
 
 
-@dataclass
-class SmoothnessReport:
+@dataclass(repr=False, eq=False)
+class SmoothnessReport(Record):
     rule_kind: str
     c1: float
     c2: float
@@ -203,8 +223,8 @@ def smoothness_report(rule: RuleSpec, summary_grid: Sequence[float],
 
 # -------------------------------------------------- quantile progress test
 
-@dataclass
-class ProgressResult:
+@dataclass(repr=False, eq=False)
+class ProgressResult(Record):
     pass_fraction: float
     trials: int
     required_members: float

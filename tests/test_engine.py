@@ -16,11 +16,13 @@ from admitlab.rules import (RuleSpec, consensus_decide, majority_decide,
 
 
 class StubRng:
-    """Plays back a fixed list of uniforms, in blocks only: steps mode
-    draws nothing else."""
+    """Plays back a fixed list of uniforms, in blocks or one at a time."""
 
     def __init__(self, values):
         self.values = list(values)
+
+    def uniform(self):
+        return self.values.pop(0)
 
     def uniform_block(self, n):
         block, self.values = self.values[:n], self.values[n:]
@@ -370,3 +372,139 @@ def test_outside_extreme_intervals_counts_hand_made_log():
     log = [0.15, 0.5, 0.05, 0.15, 0.95]
     assert outside_extreme_intervals([0.1, 0.9], log) == 2
     assert outside_extreme_intervals([0.1, 0.9], log[:1]) == 0
+
+
+def _jump_loop(members, rule, rng, accepted_target=None, raw_budget=None,
+               extra_quantiles=()):
+    """Per-member reference for `run` in jump mode, on the plain sorted
+    list `members` (grown in place), the quantile read from it afresh for
+    every member, with the engine's skip and value laws."""
+    from admitlab.engine import _accepted_veto_value, _rejections
+
+    goal = None if accepted_target is None else len(members) + accepted_target
+    checkpoints, admitted, raw = [], [], 0
+
+    def quantile(p):
+        return members[max(1, math.ceil(Fraction(p) * len(members))) - 1]
+
+    def record():
+        q = quantile(rule.p)
+        gap = None if rule.tau is None else abs(q - rule.tau)
+        checkpoints.append(Checkpoint(
+            len(members), raw, q, gap, members[0], members[-1],
+            {ep: quantile(ep) for ep in extra_quantiles}))
+
+    record()
+    next_ck = _next_checkpoint(len(members))
+    while (goal is None or len(members) < goal) and \
+            (raw_budget is None or raw < raw_budget):
+        q = quantile(rule.p)
+        if q <= 0.0:
+            break
+        p_acc = accept_any_veto(q)
+        u = rng.uniform()
+        skipped = _rejections(q, p_acc, u) if p_acc < 1.0 else 0
+        if raw_budget is not None and raw + skipped + 1 > raw_budget:
+            raw = raw_budget
+            break
+        raw += skipped + 1
+        y = _accepted_veto_value(q, p_acc, rng.uniform())
+        insort(members, y)
+        admitted.append(y)
+        if len(members) >= next_ck:
+            record()
+            next_ck = _next_checkpoint(len(members))
+    if checkpoints[-1].k != len(members):
+        record()
+    return checkpoints, admitted, raw
+
+
+def _start(shape, n, seed):
+    """A start group of n members large enough for windowed blocks."""
+    u = Rng(seed).uniform_block(n).tolist()
+    if shape == "spread":
+        return u
+    if shape == "middle":  # consensus: a narrow span admits now and then
+        return [0.45 + 0.1 * x for x in u]
+    return [x * 2.0 ** -30 if x < 0.97 else x for x in u]  # collapsed
+
+
+@pytest.mark.parametrize("rule, shape, mode, legs", [
+    (RuleSpec("majority"), "spread", "steps",
+     [{"accepted_target": 9000}, {"accepted_target": 40, "raw_budget": 10},
+      {"accepted_target": _CHUNK_PAIRS + 100}]),
+    (RuleSpec("majority"), "collapsed", "steps", [{"raw_budget": 6000}]),
+    (RuleSpec("veto", r=0.25), "spread", "steps",
+     [{"accepted_target": 7000}, {"raw_budget": 3001}]),
+    (RuleSpec("veto", r=0.75), "spread", "steps",
+     [{"accepted_target": 800, "raw_budget": 40000}]),
+    # p = 0.01: the window is cut at the group's first member
+    (RuleSpec("veto", r=0.99), "spread", "steps", [{"raw_budget": 60000}]),
+    (RuleSpec("consensus"), "middle", "steps",
+     [{"raw_budget": 50000}, {"accepted_target": 3, "raw_budget": 90000}]),
+    (RuleSpec("veto", r=0.25), "spread", "jump",
+     [{"accepted_target": 6000}, {"raw_budget": 2500}]),
+    (RuleSpec("veto", r=0.75), "collapsed", "jump",
+     [{"accepted_target": 5000}, {"accepted_target": 900,
+                                  "raw_budget": 10 ** 12}]),
+    (RuleSpec("veto", r=0.999), "spread", "jump", [{"accepted_target": 4000}]),
+], ids=["majority", "majority-collapsed", "veto-0.25", "veto-0.75",
+        "veto-0.99", "consensus", "jump-0.25", "jump-0.75", "jump-0.999"])
+@pytest.mark.parametrize("seed", [4, 9])
+def test_block_driver_matches_per_call_reference(rule, shape, mode, legs,
+                                                 seed):
+    # windowed blocks from a 2,500-member start, legs chained on one Rng:
+    # the same admissions, checkpoints and raw steps as the per-call loops,
+    # and the stream left in the same state
+    extra = (0.1, 0.5, 0.97)
+    initial = _start(shape, 2500, seed)
+    group, members = GroupState(initial), sorted(initial)
+    rng, ref_rng = Rng(seed), Rng(seed)
+    reference = _step_loop if mode == "steps" else _jump_loop
+    admitted = 0
+    for leg in legs:
+        traj = run(group, rule, rng, log_admitted=True, extra_quantiles=extra,
+                   mode=mode, **leg)
+        ref_cks, ref_admitted, ref_raw = reference(
+            members, rule, ref_rng, extra_quantiles=extra, **leg)
+        assert traj.admitted == ref_admitted
+        assert traj.checkpoints == ref_cks
+        assert traj.raw_steps == ref_raw
+        assert rng.state() == ref_rng.state()
+        assert group.values() == members
+        admitted += traj.accepted
+    assert admitted > 0
+
+
+def test_narrow_majority_pairs_are_walked():
+    # the median 1.9e-20 sits in a window [1e-20, 0.3]; the pair
+    # (1e-20, 2e-20) admits its left member at both ends, where the two
+    # distances tie or the left one is 0, but its right member at the
+    # median itself: a pair narrower than 2^-50 must be walked
+    initial = [1e-20] * 1500 + [1.9e-20] + [0.3] * 1500
+    stream = [2e-20, 1e-20] + Rng(3).uniform_block(400).tolist()
+    rule = RuleSpec("majority")
+    group, members = GroupState(initial), sorted(initial)
+    traj = run(group, rule, StubRng(stream), accepted_target=201,
+               log_admitted=True)
+    _, ref_admitted, _ = _step_loop(members, rule, StubRng(stream),
+                                    accepted_target=201)
+    assert ref_admitted[0] == 2e-20
+    assert traj.admitted == ref_admitted
+    assert group.values() == members
+
+
+@pytest.mark.parametrize("rule, mode", [
+    (RuleSpec("majority"), "steps"), (RuleSpec("veto", r=0.25), "steps"),
+    (RuleSpec("consensus"), "steps"), (RuleSpec("veto", r=0.75), "jump")])
+def test_trajectory_values_are_python_floats(rule, mode):
+    group = GroupState(_start("middle", 2100, 1))
+    traj = run(group, rule, Rng(2), accepted_target=300, raw_budget=30000,
+               log_admitted=True, extra_quantiles=(0.25,), mode=mode)
+    assert traj.admitted and all(type(y) is float for y in traj.admitted)
+    for c in traj.checkpoints:
+        got = [c.x1, c.xk, *c.extra.values()]
+        if rule.p is not None:
+            got += [c.q_p] + ([c.gap] if rule.tau is not None else [])
+        assert all(type(x) is float for x in got)
+        assert type(c.k) is int and type(c.steps) is int

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from admitlab.group import _LOAD, GroupState
+import numpy as np
+
+from admitlab.group import GroupState
 
 
 class SortedOracle:
@@ -71,9 +73,14 @@ def test_insert_domain_error():
         g.insert(math.nan)
     # the constructor checks every value, wherever the sort puts it
     for bad in ([math.nan], [0.2, math.nan, 0.9], [0.5, 1.5], [-0.1, 0.2],
-                [0.3] * 3 * _LOAD + [math.nextafter(1.0, 2.0)]):
+                [0.3] * 1536 + [math.nextafter(1.0, 2.0)]):
         with pytest.raises(ValueError):
             GroupState(bad)
+        # a batch with one bad value leaves the group as it was
+        g = GroupState([0.5])
+        with pytest.raises(ValueError):
+            g.insert_many(bad)
+        assert g.values() == [0.5]
 
 
 def test_select_basic():
@@ -211,7 +218,7 @@ def test_min_max_tracking():
     assert g.max() == 0.9
 
 
-def _split_orders(name, n):
+def _orders(name, n):
     rnd = random.Random(name)
     if name == "ascending":
         return [i / n for i in range(n)]
@@ -229,68 +236,58 @@ def _assert_matches_sorted(g, ref):
     assert g.size == len(ref)
     assert g.values() == ref
     assert [g.select(r) for r in range(1, len(ref) + 1)] == ref
+    assert g.members(1, len(ref)) == ref
     assert (g.min(), g.max()) == (ref[0], ref[-1])
     probes = [-0.5, 0.0, 1.0, 1.5]
     for v in set(ref):
         probes += [v, math.nextafter(v, -1.0), math.nextafter(v, 2.0)]
-    for x in probes:
+    lt, le = g.count_lt(np.array(probes)), g.count_le(np.array(probes))
+    assert lt.tolist() == [bisect_left(ref, x) for x in probes]
+    assert le.tolist() == [bisect_right(ref, x) for x in probes]
+    for x in probes[::97]:
         assert g.count_lt(x) == bisect_left(ref, x)
         assert g.count_le(x) == bisect_right(ref, x)
 
 
 @pytest.mark.parametrize("order", ["ascending", "descending", "all-equal",
                                    "collapsed", "rounded"])
-def test_split_runs_match_sorted_list(order):
-    # one insert at a time, past several run splits; a bulk-built group of
-    # the same values answers the same
-    values = _split_orders(order, 10 * _LOAD)
-    g = GroupState()
-    for i, x in enumerate(values, 1):
-        g.insert(x)
-        if i % (_LOAD - 1) == 0 or i == len(values):
-            ref = sorted(values[:i])
+def test_insert_many_matches_sorted_list(order):
+    # batches of every size, unsorted, as lists and as arrays, merged into
+    # a growing group: it answers as the sorted list of the same values,
+    # and as a group built from them at once
+    values = _orders(order, 4000)
+    rnd = random.Random(f"batches-{order}")
+    g, ref, i = GroupState(), [], 0
+    while i < len(values):
+        m = rnd.choice([0, 1, 2, 7, 64, 300, 1000])
+        batch, i = values[i:i + m], i + m
+        rnd.shuffle(batch)
+        if m == 1:
+            g.insert(batch[0])
+        else:
+            g.insert_many(batch if rnd.random() < 0.5 else np.array(batch))
+        ref = sorted(ref + batch)
+        if ref:
             _assert_matches_sorted(g, ref)
-            _assert_matches_sorted(GroupState(values[:i]), ref)
-    assert len(g._runs) >= 5
+    _assert_matches_sorted(GroupState(values), ref)
 
 
-@pytest.mark.parametrize("mass", ["spread", "collapsed", "all-equal"])
-def test_finger_matches_sorted_list(mass):
-    # the finger (_b, _start) must name a run and the members before it
-    # after every call: inserts land before, inside and after its run, that
-    # run and earlier ones split, selects walk from it to near and far
-    # ranks both ways, and counts read prefix sums refreshed after inserts
-    rnd = random.Random(f"finger-{mass}")
-    draw = {"spread": rnd.random,
-            "collapsed": lambda: rnd.random() * 2.0 ** -40,
-            "all-equal": lambda: 0.3}[mass]
-    ref = sorted(draw() for _ in range(3 * _LOAD))
-    g = GroupState(ref)
-    n = 12 * _LOAD
-    seen = set()
-    for i in range(n):
-        x = draw()
-        b, nruns = bisect_left(g._tops, x), len(g._runs)
-        where = "before" if b < g._b else "inside" if b == g._b else "after"
-        g.insert(x)
-        insort(ref, x)
-        seen.add(where if len(g._runs) == nruns else "split " + where)
-        assert g._start == sum(map(len, g._runs[:g._b]))
-        k = len(ref)
-        p = (0.5, 0.02, 0.98, 0.75)[4 * i // n]  # the driving rank's phase
-        ranks = [g.quantile_rank(p)]
-        if i % 97 == 0:
-            ranks += [k, rnd.randint(1, k), 1, g.quantile_rank(p)]
-        for r in ranks:
-            assert g.select(r) == ref[r - 1]
-            assert g._start == sum(map(len, g._runs[:g._b]))
-        if i % 5 == 0:
-            y = ref[rnd.randrange(k)]
-            for z in (y, math.nextafter(y, -1.0), math.nextafter(y, 2.0)):
-                assert g.count_lt(z) == bisect_left(ref, z)
-                assert g.count_le(z) == bisect_right(ref, z)
-    want = {"before", "inside", "split before", "split inside"}
-    if mass != "all-equal":  # equal members all join the first run
-        want |= {"after", "split after"}
-    assert want <= seen
-    assert g.values() == ref
+def test_members_window():
+    g = GroupState([0.9, 0.1, 0.5, 0.5, 0.3])
+    assert g.members(2, 4) == [0.3, 0.5, 0.5]
+    assert g.members(5, 5) == [0.9]
+    for lo, hi in ((0, 2), (3, 6), (4, 3)):
+        with pytest.raises(IndexError):
+            g.members(lo, hi)
+
+
+def test_summaries_are_python_floats():
+    # the array holds float64, but what the group hands out is float
+    g = GroupState([0.25, 0.75, 0.5])
+    g.insert_many(np.array([0.125, 0.875]))
+    g.insert(1)
+    got = [g.select(2), g.median(), g.quantile(0.9), g.min(), g.max(),
+           *g.values(), *g.members(1, 3)]
+    assert all(type(x) is float for x in got)
+    assert type(g.count_lt(0.5)) is int and type(g.count_le(0.5)) is int
+    assert type(g.count_interval(0.2, 0.6)) is int and type(g.size) is int

@@ -136,3 +136,54 @@ def test_stats_has_no_rule_kind_branch():
                     for x in sides for c in ast.walk(x)):
             found.append(f"stats.py:{node.lineno}")
     assert not found, f"rule kind compared to a name: {found}"
+
+
+def test_group_insert_not_called_in_a_loop():
+    # GroupState.insert costs O(k), so src grows a group a batch at a time
+    # with insert_many.  Flags a one-argument `.insert(...)` call inside a
+    # loop or comprehension (list.insert takes two), `GroupState.insert`
+    # named anywhere, and any `.insert` not called on the spot, which
+    # could carry it into a loop under another name
+    loops = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
+             ast.DictComp, ast.GeneratorExp)
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        called = {id(node.func) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)}
+        for loop in (n for n in ast.walk(tree) if isinstance(n, loops)):
+            found += [f"{path.name}:{node.lineno} in a loop"
+                      for node in ast.walk(loop)
+                      if isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Attribute)
+                      and node.func.attr == "insert"
+                      and len(node.args) + len(node.keywords) == 1]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "insert":
+                if id(node) not in called:
+                    found.append(f"{path.name}:{node.lineno} aliased")
+                elif _dotted(node) == ["GroupState", "insert"]:
+                    found.append(f"{path.name}:{node.lineno} unbound")
+    assert not found, f"GroupState.insert reachable from a loop: {found}"
+
+
+def test_group_holds_no_runs_finger_or_prefix_list():
+    # the group is one sorted array: none of the sorted runs, their tops,
+    # the finger (run index and members before it) or the prefix counts
+    # of the structure it replaced
+    gone = {"_runs", "_tops", "_b", "_start", "_sums"}
+    tree = ast.parse((SRC / "group.py").read_text(), filename="group.py")
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    assert "_a" in names
+    assert not names & gone, f"group.py still names {sorted(names & gone)}"

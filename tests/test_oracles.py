@@ -134,6 +134,28 @@ def test_triangle_cdf_monotone():
     assert all(a <= b for a, b in zip(vals, vals[1:]))
 
 
+def test_cdfs_on_arrays_match_floats_bit_for_bit():
+    # an array is evaluated with the float's rounding, entry by entry; a
+    # plain `** 2` squares with one multiply and differs in the last bit
+    # for about one value in a thousand, which a KS maximum can land on
+    u = Rng(12).uniform_block(200_000)
+    xs = np.concatenate([u, u * 2.0 ** -40, [0.0, 0.5, 1.0,
+                                            math.nextafter(0.5, 1.0)]])
+    assert triangle_cdf(xs).tolist() == [triangle_cdf(x) for x in xs.tolist()]
+    for q in (0.55, tau(0.75), 1.0):
+        assert truncated_triangle_cdf(xs, q).tolist() == \
+            [truncated_triangle_cdf(x, q) for x in xs.tolist()]
+    assert type(triangle_cdf(0.3)) is float
+    assert type(truncated_triangle_cdf(0.3, 0.75)) is float
+    # the range check covers every entry
+    for bad in (math.nan, 1.5, -1e-300):
+        arr = np.array([0.2, bad, 0.7])
+        with pytest.raises(ValueError, match="outside"):
+            triangle_cdf(arr)
+        with pytest.raises(ValueError, match="outside"):
+            truncated_triangle_cdf(arr, 0.75)
+
+
 def test_truncated_triangle_consistency():
     for q in (0.55, 0.75, 0.9, 1.0):
         assert truncated_triangle_cdf(q, q) == pytest.approx(f_veto(q), abs=1e-12)

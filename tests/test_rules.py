@@ -12,6 +12,7 @@ from admitlab.rng import Rng
 from admitlab.rules import (
     CandidatePair,
     RuleSpec,
+    block_decisions,
     block_kernel,
     consensus_decide,
     decide,
@@ -161,8 +162,9 @@ def test_decisions_are_pure(m, a, b):
 
 def test_block_decisions_match_scalar_decisions():
     # the block decision admits exactly what the scalar decision admits
-    # from each sorted pair, in pair order, exact ties included: at
-    # summary 0.5 the pair (0.25, 0.75) admits the left candidate, 0.25
+    # from each sorted pair, pair by pair (NaN where nobody joins), exact
+    # ties included: at summary 0.5 the pair (0.25, 0.75) admits the left
+    # candidate, 0.25
     u = Rng(41).uniform_block(4000).tolist()
     seeded = list(zip(u[0::2], u[1::2]))
     for s in (0.5, 0.375, 0.8125):
@@ -174,6 +176,45 @@ def test_block_decisions_match_scalar_decisions():
                              (RuleSpec("veto", r=0.25), veto_decide)):
             block, accept_prob = block_kernel(rule)
             want = [scalar(s, a, b) for a, b in pairs]
-            want = [y for y in want if y is not None]
-            assert block(s, y1, y2).tolist() == want
+            got = block(s, y1, y2).tolist()
+            assert [None if y != y else y for y in got] == want
             assert 0.0 < accept_prob(s) <= 1.0
+
+
+@pytest.mark.parametrize("rule", [RuleSpec("majority"), RuleSpec("veto", r=0.25),
+                                  RuleSpec("consensus")],
+                         ids=["majority", "veto", "consensus"])
+def test_block_decisions_sure_for_every_summary_between(rule):
+    # a pair marked sure is decided the same way by the scalar decision at
+    # every summary between the two ends; ends and pairs crowd together so
+    # that rounding ties and narrow pairs come up
+    rnd = random.Random(f"sure-{rule.kind}")
+    tiny = [0.0, 1e-20, 2e-20, 1.9e-20, 2.0 ** -51, 2.0 ** -50]
+    for _ in range(60):
+        lo = rnd.choice([rnd.random(), rnd.choice(tiny)])
+        hi = rnd.choice([lo, min(1.0, lo + rnd.random() * 0.05),
+                         rnd.random() * (1.0 - lo) + lo, 0.3])
+        lo, hi = min(lo, hi), max(lo, hi)
+        grid = sorted({lo, hi, *(lo + (hi - lo) * rnd.random()
+                                 for _ in range(20)), *[t for t in tiny
+                                                        if lo <= t <= hi]})
+        raw = [(rnd.random(), rnd.random()) for _ in range(300)]
+        raw += [(t, rnd.choice(tiny)) for t in tiny]
+        raw += [(x, x + d) for x in grid[:5] for d in (0.0, 2.0 ** -52,
+                                                       1e-20) if x + d < 1.0]
+        pairs = [(min(a, b), max(a, b)) for a, b in raw]
+        a, b = (np.array(col) for col in zip(*pairs))
+        if rule.p is None:  # consensus: spans that hold the start span
+            ends = ((lo, hi), (0.0, 1.0))
+            spans = [(lo - (lo - 0.0) * t, hi + (1.0 - hi) * t)
+                     for t in (0.0, 0.25, 0.5, 1.0)]
+        else:
+            ends, spans = (lo, hi), grid
+        y, sure = block_decisions(rule, *ends, a, b)
+        scalar = {"majority": majority_decide, "veto": veto_decide,
+                  "consensus": consensus_decide}[rule.kind]
+        for (p1, p2), yi, si in zip(pairs, y.tolist(), sure.tolist()):
+            first = scalar(ends[0], p1, p2)
+            assert (None if yi != yi else yi) == first
+            if si:
+                assert all(scalar(s, p1, p2) == first for s in spans)

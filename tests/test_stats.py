@@ -3,14 +3,15 @@
 import hashlib
 import math
 import random
+import time
 
 import numpy as np
 import pytest
 
 from admitlab import stats
 from admitlab.group import GroupState
-from admitlab.oracles import (f_majority, majority_context, triangle_cdf,
-                              veto_context)
+from admitlab.oracles import (accept_any_veto, f_majority, majority_context,
+                              triangle_cdf, veto_context)
 from admitlab.rng import Rng
 from admitlab.rules import RuleSpec
 from admitlab.stats import (
@@ -62,6 +63,12 @@ def test_ks_matches_naive_two_sided():
                         abs((i + 1) / n - triangle_cdf(x)),
                         abs(i / n - triangle_cdf(x)))
         assert d == pytest.approx(naive, abs=1e-15)
+        # the one numpy expression agrees with the CDF taken sample by
+        # sample, to the last bit
+        ref = np.array([triangle_cdf(x) for x in sx])
+        per_sample = max(np.max(np.arange(1, n + 1) / n - ref),
+                         np.max(ref - np.arange(0, n) / n))
+        assert d == float(per_sample)
 
 
 # ---------------------------------------------------------------- density
@@ -245,6 +252,19 @@ def test_interval_accept_prob_validation():
     with pytest.raises(ValueError, match="consensus"):
         estimate_interval_accept_prob(RuleSpec("consensus"), 0.5, (0, 1), 10,
                                       Rng(1))
+
+
+def test_frozen_sampler_refuses_vanishing_acceptance():
+    # at q = 1e-10 a veto step admits with probability 2e-20: ten
+    # admissions would take about 5e20 pairs, so the call raises at once,
+    # naming the summary, and draws nothing
+    rng = _CountingRng(1)
+    t = time.perf_counter()
+    with pytest.raises(ValueError, match="1e-10"):
+        stats._frozen_step_values(RuleSpec("veto", r=0.25), 1e-10, 10, rng)
+    assert time.perf_counter() - t < 1.0 and rng.draws == 0
+    # under the cap the call still samples: q = 1e-3 needs 5e6 pairs
+    assert 10 / accept_any_veto(1e-3) < stats._MAX_PAIRS
 
 
 # ------------------------------------------------------------- smoothness
