@@ -324,6 +324,8 @@ def _sweep(doc: dict) -> dict:
     if not isinstance(axis, dict) or len(axis) != 1 or \
             not isinstance(next(iter(axis.values())), list):
         raise ConfigError("axis", "exactly one {key: [values]} pair")
+    if "seed" in axis:  # each cell's seed comes from `seeds`
+        raise ConfigError("axis", "sweep seeds with `seeds`, not an axis")
     seeds = doc.get("seeds")
     if not isinstance(seeds, list) or not seeds or not all(
             isinstance(v, int) and not isinstance(v, bool) for v in seeds):

@@ -3,9 +3,11 @@
 A run is fully determined by (initial group, rule, targets, seed).  Raw
 steps and accepted members are counted separately because veto and
 consensus rules reject candidates in many steps.  The group (`GroupState`,
-a sorted array) grows a block at a time, in one `insert_many` merge per
-block; blocks end at the geometric checkpoints, so `record()` sees what a
-member-by-member run would.
+a sorted array) grows a block at a time.  Every block returns its
+admissions in step order with the raw count of each; they join in one
+`insert_many` merge, split at each geometric checkpoint size they reach,
+which is recorded with that admission's raw count, so `record()` sees what
+a member-by-member run would.  A checkpoint never ends a block.
 
 * ``steps`` (default, every rule): each raw step draws a sorted candidate
   pair and the rule decides on its summary, with the same draws and
@@ -14,14 +16,15 @@ member-by-member run would.
   `Rng.uniform_block`, `need = min(_CHUNK_PAIRS, goal - size, budget - raw)`
   pairs at a time; a step admits at most one member, so every buffer is
   used up and the stream ends where 2 * raw `uniform()` calls leave it.
-  A quantile rule's block is at most B = 8 * isqrt(k) steps, so its
+  A quantile rule's block admits at most B = 8 * isqrt(k) members, so its
   summary stays inside the window [L, H] = [select(r0 - B), select(r0 + B)]
-  of the block's start group.  `rules.block_decisions` decides every pair
-  at L and at H in numpy; Python walks, in step order, only the pairs
-  decided differently and the admissions landing inside [L, H], reading
-  the summary from the window as a sorted list, offset by the admissions
-  below L.  Below _WINDOW_MIN members every step is walked over the whole
-  group, as a sorted list.
+  of the block's start group (cut at the group's ends, so a small group's
+  window is all of it), over as many pairs as those admissions need at
+  the start summary's acceptance rate.  `rules.block_decisions`
+  decides every pair at L and at H in numpy; Python walks, in step order,
+  only the pairs decided differently and the admissions landing inside
+  [L, H], reading the summary from the window as a sorted list, offset by
+  the admissions below L.
   Consensus needs no window: its min only falls and its max only rises, so
   a pair rejected at the block's start stays rejected.
 * ``jump`` (veto rules only): the number of consecutive rejected steps is
@@ -51,7 +54,6 @@ from .rng import Rng
 from .rules import RuleSpec, block_decisions, block_kernel, kernel
 
 _CHUNK_PAIRS = 32768  # most candidate pairs the steps driver draws at once
-_WINDOW_MIN = 2048  # smaller groups are walked whole: numpy would decide nothing
 _CONSENSUS_PAIRS = 4096  # a consensus block's pairs; bounds the lists it walks
 
 
@@ -122,7 +124,8 @@ def _sorted_pairs(rng: Rng, n: int) -> tuple:
 
 
 def _window(group: GroupState, p: float) -> tuple:
-    """The block's span B and its rank window around the p-quantile.
+    """The block's span B and its rank window [r0 - B, r0 + B] around the
+    p-quantile, cut at the group's ends.
 
     Returns (B, lo, window, lo_c, hi_c): the members of ranks lo..hi as a
     sorted list, and the values that split an admission into below the
@@ -132,66 +135,40 @@ def _window(group: GroupState, p: float) -> tuple:
     k = group.size
     span = 8 * math.isqrt(k)
     r0 = quantile_rank(p, k)
-    lo, hi = (1, k) if k < _WINDOW_MIN else \
-        (max(1, r0 - span), min(k, r0 + span))
+    lo, hi = max(1, r0 - span), min(k, r0 + span)
     window = group.members(lo, hi)
     lo_c = -math.inf if lo == 1 else window[0]
     hi_c = math.inf if hi == k else window[-1]
     return span, lo, window, lo_c, hi_c
 
 
-def _plain_block(group: GroupState, rule: RuleSpec, decision,
-                 a: np.ndarray, b: np.ndarray, cap: int) -> tuple:
-    """Below _WINDOW_MIN members: every step of a quantile-driven rule is
-    walked over the whole group as a sorted list, the summary re-read only
-    when a member joins, until `cap` members have joined or the block's
-    pairs run out: B of them, or as many as `cap` admissions need at the
-    start summary's acceptance rate.  Returns the admitted opinions in step
-    order and the number of steps taken."""
-    num, den = rule.p.as_integer_ratio()
-    k = group.size
-    s = group.quantile(rule.p)
-    p_acc = block_kernel(rule)[1](s)
-    n = min(a.size, max(8 * math.isqrt(k),
-                        math.ceil(cap / p_acc) if p_acc > 0.0 else a.size))
-    members, out = None, []  # the list is built at the first admission
-    for i, y1, y2 in zip(range(n), a[:n].tolist(), b[:n].tolist()):
-        y = decision(s, y1, y2)
-        if y is None:  # 0.0 is a legal opinion
-            continue
-        if members is None:
-            members = group.values()
-        insort(members, y)
-        out.append(y)
-        if len(out) >= cap:
-            return np.array(out), i + 1
-        k += 1
-        s = members[-(-num * k // den) - 1]
-    return np.array(out, dtype=np.float64), n
-
-
 def _quantile_block(group: GroupState, rule: RuleSpec, decision,
                     a: np.ndarray, b: np.ndarray, cap: int) -> tuple:
     """Steps of a quantile-driven rule over the sorted pairs (a, b), in
-    order, until `cap` members have joined or B pairs are used.  Returns
-    the admitted opinions in step order and the number of steps taken."""
+    order, until min(cap, B) members have joined or the block's pairs run
+    out: as many as those admissions need at the start summary's
+    acceptance rate.  Returns the admitted opinions and their step offsets,
+    in step order, and the number of steps taken."""
     k0 = group.size
     num, den = rule.p.as_integer_ratio()
     span, lo, window, lo_c, hi_c = _window(group, rule.p)
-    n = min(a.size, span)
+    cap = min(cap, span)
+    p_acc = block_kernel(rule)[1](group.quantile(rule.p))
+    n = a.size if p_acc * a.size <= cap else \
+        min(a.size, math.ceil(cap / p_acc))
     a, b = a[:n], b[:n]
     ys, sure = block_decisions(rule, max(lo_c, 0.0), min(hi_c, 1.0), a, b)
-    joins = sure & (ys == ys)
-    below = joins & (ys < lo_c)
-    outside = below | (joins & (ys > hi_c))
-    walk = np.flatnonzero(~sure | (joins & ~outside))
+    res = np.where(sure, ys, math.nan)  # the sure admissions; NaN elsewhere
+    below = res < lo_c
+    outside = below | (res > hi_c)
+    walk = np.flatnonzero(~sure | ((res >= lo_c) & (res <= hi_c)))
     # sure admissions outside the window join without being walked; their
     # counts before each walked step (none is one of them) give the group's
     # size, and those below the window shift its ranks
     out_cum = np.cumsum(outside)
     ev_out = out_cum[walk].tolist()
     ev_below = np.cumsum(below)[walk].tolist()
-    ev_y = np.where(sure, ys, math.nan)[walk].tolist()
+    ev_y = res[walk].tolist()
     ev_a, ev_b = a[walk].tolist(), b[walk].tolist()
 
     joined = below_n = 0     # walked admissions, and those below the window
@@ -224,65 +201,70 @@ def _quantile_block(group: GroupState, rule: RuleSpec, decision,
     if stop is None:  # did an admission outside the window reach the cap?
         j = last + 1 + int(np.searchsorted(out_cum[last + 1:], cap - joined))
         stop = min(j + 1, n)
-    res = np.where(sure[:stop], ys[:stop], math.nan)
+    res = res[:stop]
     res[out_i] = out_y
-    return res[res == res], stop
+    at = np.flatnonzero(res == res)
+    return res[at], at, stop
 
 
 def _consensus_block(group: GroupState, rule: RuleSpec, decision,
                      a: np.ndarray, b: np.ndarray, cap: int) -> tuple:
     """Consensus steps over at most _CONSENSUS_PAIRS sorted pairs (a, b),
     in order, until `cap` members have joined; returns the admitted
-    opinions in step order and the number of steps taken."""
+    opinions and their step offsets, in step order, and the number of
+    steps taken."""
     a, b = a[:_CONSENSUS_PAIRS], b[:_CONSENSUS_PAIRS]
     extremes = (group.min(), group.max())
     _, sure = block_decisions(rule, extremes, (0.0, 1.0), a, b)
     walk = np.flatnonzero(~sure)
-    out = []
+    out, at = [], []
     for i, y1, y2 in zip(walk.tolist(), a[walk].tolist(), b[walk].tolist()):
         y = decision(extremes, y1, y2)
         if y is None:
             continue
         out.append(y)
+        at.append(i)
         extremes = (min(extremes[0], y), max(extremes[1], y))
         if len(out) >= cap:
-            return np.array(out), i + 1
-    return np.array(out, dtype=np.float64), a.size
+            return np.array(out), np.array(at), i + 1
+    return np.array(out, dtype=np.float64), np.array(at, dtype=int), a.size
 
 
 def _jump_block(group: GroupState, p: float, uniform, cap: int, raw: int,
                 raw_budget: Optional[int]) -> tuple:
     """Up to min(cap, B) jump-mode members, drawn one at a time.  Returns
-    the members in order, the raw step count, and whether the run ends
-    here (budget spent or a stuck process)."""
+    the members in order, the raw step count after each and after the
+    block, and whether the run ends here (budget spent or a stuck
+    process)."""
     k0 = group.size
     num, den = p.as_integer_ratio()
     span, lo, window, lo_c, hi_c = _window(group, p)
-    out = []
+    out, raws = [], []
     below = 0
     for k in range(k0, k0 + min(cap, span)):
         if raw_budget is not None and raw >= raw_budget:
-            return out, raw, True
+            return out, raws, raw, True
         q = window[-(-num * k // den) - lo - below]
         if q <= 0.0:
-            return out, raw, True  # stuck process: report exhaustion
+            return out, raws, raw, True  # stuck process: report exhaustion
         p_acc = accept_any_veto(q)
         u = uniform()
         if p_acc < 1.0:
             # rejections, then the acceptance itself
             skipped = _rejections(q, p_acc, u)
             if raw_budget is not None and raw + skipped + 1 > raw_budget:
-                return out, raw_budget, True
+                return out, raws, raw_budget, True
             raw += skipped + 1
         else:
             raw += 1
         y = _accepted_veto_value(q, p_acc, uniform())
         out.append(y)
+        raws.append(raw)
         if y < lo_c:
             below += 1
         elif y <= hi_c:
             insort(window, y)
-    return out, raw, False
+    return out, raws, raw, False
 
 
 def run(initial: GroupState, rule: RuleSpec, rng: Rng,
@@ -305,6 +287,8 @@ def run(initial: GroupState, rule: RuleSpec, rng: Rng,
         raise ValueError("need an accepted target or a raw-step budget")
     if accepted_target is not None and accepted_target <= 0:
         raise ValueError("accepted target must be positive")
+    if raw_budget is not None and raw_budget <= 0:
+        raise ValueError("raw-step budget must be positive")
     if mode not in ("steps", "jump"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "jump" and rule.kind != "veto":
@@ -320,32 +304,46 @@ def run(initial: GroupState, rule: RuleSpec, rng: Rng,
     p, tau = rule.p, rule.tau
     quantile = group.quantile
 
-    def record():
+    def record(steps: int):
         q = None if p is None else quantile(p)
         gap = None if (q is None or tau is None) else abs(q - tau)
         extra = {ep: quantile(ep) for ep in extra_quantiles}
-        checkpoints.append(Checkpoint(group.size, raw, q, gap,
+        checkpoints.append(Checkpoint(group.size, steps, q, gap,
                                       group.min(), group.max(), extra))
 
-    record()  # the initial state is checkpoint 0
+    record(0)  # the initial state is checkpoint 0
     next_ck = _next_checkpoint(group.size)
+
+    def merge(new: np.ndarray, raws) -> None:
+        # a block's admissions join in step order, split at each checkpoint
+        # size, which is recorded with the raw count of the admission that
+        # reaches it
+        nonlocal next_ck
+        start = 0
+        while new.size - start >= next_ck - group.size:
+            end = start + next_ck - group.size
+            group.insert_many(new[start:end])
+            record(int(raws[end - 1]))
+            next_ck = _next_checkpoint(group.size)
+            start = end
+        group.insert_many(new[start:])
+        if admitted is not None:
+            admitted.extend(new.tolist())
+
+    def room() -> int:  # most members that can still join: one per step
+        return goal - group.size if goal is not None else raw_budget - raw
 
     if mode == "jump":
         uniform = rng.uniform
         done = False
         while not done and (goal is None or group.size < goal) and \
                 (raw_budget is None or raw < raw_budget):
-            cap = next_ck if goal is None else min(next_ck, goal)
-            new, raw, done = _jump_block(group, p, uniform, cap - group.size,
-                                         raw, raw_budget)
-            group.insert_many(new)
-            if admitted is not None:
-                admitted.extend(new)
-            if group.size >= next_ck:
-                record()
-                next_ck = _next_checkpoint(group.size)
+            new, raws, raw, done = _jump_block(group, p, uniform, room(), raw,
+                                               raw_budget)
+            merge(np.array(new, dtype=np.float64), raws)
     else:
         decision = kernel(rule)
+        block = _consensus_block if p is None else _quantile_block
         a = b = np.empty(0)  # the buffer's sorted pairs, from `pos` on
         pos = 0
         while (goal is None or group.size < goal) and \
@@ -362,20 +360,13 @@ def run(initial: GroupState, rule: RuleSpec, rng: Rng,
                 a = b = None  # free the spent buffer before drawing anew
                 a, b = _sorted_pairs(rng, need)
                 pos = 0
-            block = _consensus_block if p is None else _plain_block \
-                if group.size < _WINDOW_MIN else _quantile_block
-            new, steps = block(group, rule, decision, a[pos:], b[pos:],
-                               next_ck - group.size)
+            new, at, steps = block(group, rule, decision, a[pos:], b[pos:],
+                                   room())
+            merge(new, raw + 1 + at)
             pos += steps
             raw += steps
-            group.insert_many(new)
-            if admitted is not None:
-                admitted.extend(new.tolist())
-            if group.size >= next_ck:
-                record()
-                next_ck = _next_checkpoint(group.size)
 
     if checkpoints[-1].k != group.size:  # k strictly increasing per checkpoint
-        record()
+        record(raw)
     exhausted = goal is not None and group.size < goal
     return Trajectory(checkpoints, raw, group.size - k0, admitted, exhausted)

@@ -284,9 +284,13 @@ def test_seed_mandatory():
       "seeds": [1], "seed": 1}, "seed"),
     ({"kind": "sweep", "base": _REMOVAL, "axis": {"k": [1, 2]},
       "seeds": [1]}, "base.kind"),
+    # each cell's seed is an entry of `seeds`, which would overwrite an axis
+    ({"kind": "sweep", "base": _GROW, "axis": {"seed": [1, 2, 3]},
+      "seeds": [7]}, "axis"),
 ])
 def test_seed_only_where_read(doc, key):
-    # only grow and committee runs draw random numbers
+    # only grow and committee runs draw random numbers, and a sweep takes
+    # its seeds from `seeds` alone
     with pytest.raises(ConfigError) as err:
         _parse(doc)
     assert err.value.path == key

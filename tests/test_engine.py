@@ -172,6 +172,10 @@ def test_run_argument_validation():
         run(GroupState([0.5]), RuleSpec("majority"), Rng(1))
     with pytest.raises(ValueError):
         run(GroupState([0.5]), RuleSpec("majority"), Rng(1), accepted_target=0)
+    for budget in (0, -3):
+        with pytest.raises(ValueError):
+            run(GroupState([0.5]), RuleSpec("majority"), Rng(1),
+                accepted_target=5, raw_budget=budget)
     with pytest.raises(ValueError):
         run(GroupState([0.5]), RuleSpec("majority"), Rng(1),
             accepted_target=5, mode="jump")  # jump is veto-only
@@ -448,16 +452,22 @@ def _start(shape, n, seed):
      [{"accepted_target": 5000}, {"accepted_target": 900,
                                   "raw_budget": 10 ** 12}]),
     (RuleSpec("veto", r=0.999), "spread", "jump", [{"accepted_target": 4000}]),
+    # from one member, through the small groups whose window is all of it
+    # and checkpoints every few admissions; the budget ends inside a block
+    (RuleSpec("majority"), [0.25], "steps",
+     [{"accepted_target": 3000, "raw_budget": 1500}, {"accepted_target": 700}]),
+    (RuleSpec("veto", r=0.75), [1.0], "jump", [{"accepted_target": 2999}]),
 ], ids=["majority", "majority-collapsed", "veto-0.25", "veto-0.75",
-        "veto-0.99", "consensus", "jump-0.25", "jump-0.75", "jump-0.999"])
+        "veto-0.99", "consensus", "jump-0.25", "jump-0.75", "jump-0.999",
+        "majority-from-one", "jump-0.75-from-one"])
 @pytest.mark.parametrize("seed", [4, 9])
 def test_block_driver_matches_per_call_reference(rule, shape, mode, legs,
                                                  seed):
-    # windowed blocks from a 2,500-member start, legs chained on one Rng:
-    # the same admissions, checkpoints and raw steps as the per-call loops,
-    # and the stream left in the same state
+    # windowed blocks from a 2,500-member start (or the listed members),
+    # legs chained on one Rng: the same admissions, checkpoints and raw
+    # steps as the per-call loops, and the stream left in the same state
     extra = (0.1, 0.5, 0.97)
-    initial = _start(shape, 2500, seed)
+    initial = shape if isinstance(shape, list) else _start(shape, 2500, seed)
     group, members = GroupState(initial), sorted(initial)
     rng, ref_rng = Rng(seed), Rng(seed)
     reference = _step_loop if mode == "steps" else _jump_loop

@@ -167,14 +167,11 @@ def test_group_insert_not_called_in_a_loop():
     assert not found, f"GroupState.insert reachable from a loop: {found}"
 
 
-def test_group_holds_no_runs_finger_or_prefix_list():
-    # the group is one sorted array: none of the sorted runs, their tops,
-    # the finger (run index and members before it) or the prefix counts
-    # of the structure it replaced
-    gone = {"_runs", "_tops", "_b", "_start", "_sums"}
-    tree = ast.parse((SRC / "group.py").read_text(), filename="group.py")
+def _names(path):
+    """Every identifier, attribute, definition, argument and string
+    constant in one source file."""
     names = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(path.read_text(), filename=path.name)):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -185,5 +182,17 @@ def test_group_holds_no_runs_finger_or_prefix_list():
             names.add(node.arg)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             names.add(node.value)
-    assert "_a" in names
-    assert not names & gone, f"group.py still names {sorted(names & gone)}"
+    return names
+
+
+def test_group_holds_no_runs_finger_or_prefix_list():
+    # the group is one sorted array: none of the sorted runs, their tops,
+    # the finger (run index and members before it) or the prefix counts
+    # of the structure it replaced; and the engine has one quantile-rule
+    # block for every group size, with no whole-group walk below a size
+    guards = {"group.py": ("_a", {"_runs", "_tops", "_b", "_start", "_sums"}),
+              "engine.py": ("_quantile_block", {"_plain_block", "_WINDOW_MIN"})}
+    for name, (kept, gone) in guards.items():
+        names = _names(SRC / name)
+        assert kept in names
+        assert not names & gone, f"{name} still names {sorted(names & gone)}"
