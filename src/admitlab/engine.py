@@ -14,17 +14,19 @@ a member-by-member run would.  A checkpoint never ends a block.
   decisions as the per-call reference in the tests (`_step_loop`: two
   `uniform()` calls per step, a plain sorted list).  The draws come from
   `Rng.uniform_block`, `need = min(_CHUNK_PAIRS, goal - size, budget - raw)`
-  pairs at a time; a step admits at most one member, so every buffer is
-  used up and the stream ends where 2 * raw `uniform()` calls leave it.
-  A quantile rule's block admits at most B = 8 * isqrt(k) members, so its
-  summary stays inside the window [L, H] = [select(r0 - B), select(r0 + B)]
-  of the block's start group (cut at the group's ends, so a small group's
-  window is all of it), over as many pairs as those admissions need at
-  the start summary's acceptance rate.  `rules.block_decisions`
-  decides every pair at L and at H in numpy; Python walks, in step order,
-  only the pairs decided differently and the admissions landing inside
-  [L, H], reading the summary from the window as a sorted list, offset by
-  the admissions below L.
+  pairs at a time (an absent limit is `math.inf`).  A step admits at most
+  one member, so a buffer can pass neither limit: the buffer alone bounds
+  the goal and the budget, every buffer is used up and the stream ends
+  where 2 * raw `uniform()` calls leave it.  A block bounds only its
+  window: a quantile rule's block admits at most B = 8 * isqrt(k) members,
+  so its summary stays inside the window [L, H] = [select(r0 - B),
+  select(r0 + B)] of the block's start group (cut at the group's ends, so
+  a small group's window is all of it), over as many pairs as those
+  admissions need at the start summary's acceptance rate.
+  `rules.block_decisions` decides every pair at L and at H in numpy;
+  Python walks, in step order, only the pairs decided differently and the
+  admissions landing inside [L, H], reading the summary from the window as
+  a sorted list, offset by the admissions below L.
   Consensus needs no window: its min only falls and its max only rises, so
   a pair rejected at the block's start stays rejected.
 * ``jump`` (veto rules only): the number of consecutive rejected steps is
@@ -117,7 +119,7 @@ def _rejections(q: float, p_acc: float, u: float) -> int:
     return int(2.0 ** (bits - shift)) << shift
 
 
-def _sorted_pairs(rng: Rng, n: int) -> tuple:
+def sorted_pairs(rng: Rng, n: int) -> tuple:
     """n candidate pairs from 2n draws, as arrays of lower and upper ends."""
     u = rng.uniform_block(2 * n)
     return np.minimum(u[0::2], u[1::2]), np.maximum(u[0::2], u[1::2])
@@ -142,20 +144,19 @@ def _window(group: GroupState, p: float) -> tuple:
     return span, lo, window, lo_c, hi_c
 
 
-def _quantile_block(group: GroupState, rule: RuleSpec, decision,
-                    a: np.ndarray, b: np.ndarray, cap: int) -> tuple:
+def _quantile_block(group: GroupState, rule: RuleSpec, a: np.ndarray,
+                    b: np.ndarray) -> tuple:
     """Steps of a quantile-driven rule over the sorted pairs (a, b), in
-    order, until min(cap, B) members have joined or the block's pairs run
-    out: as many as those admissions need at the start summary's
-    acceptance rate.  Returns the admitted opinions and their step offsets,
-    in step order, and the number of steps taken."""
+    order, until B members have joined or the block's pairs run out: as
+    many as those admissions need at the start summary's acceptance rate.
+    Returns the admitted opinions and their step offsets, in step order,
+    and the number of steps taken."""
     k0 = group.size
     num, den = rule.p.as_integer_ratio()
+    decision = kernel(rule)
     span, lo, window, lo_c, hi_c = _window(group, rule.p)
-    cap = min(cap, span)
     p_acc = block_kernel(rule)[1](group.quantile(rule.p))
-    n = a.size if p_acc * a.size <= cap else \
-        min(a.size, math.ceil(cap / p_acc))
+    n = a.size if p_acc * a.size <= span else math.ceil(span / p_acc)
     a, b = a[:n], b[:n]
     ys, sure = block_decisions(rule, max(lo_c, 0.0), min(hi_c, 1.0), a, b)
     res = np.where(sure, ys, math.nan)  # the sure admissions; NaN elsewhere
@@ -177,7 +178,7 @@ def _quantile_block(group: GroupState, rule: RuleSpec, decision,
     for i, y1, y2, y, n_out, n_below in zip(walk.tolist(), ev_a, ev_b, ev_y,
                                             ev_out, ev_below):
         before = n_out + joined  # members joined in the block before step i
-        if before >= cap:  # reached by an admission outside the window
+        if before >= span:  # reached by an admission outside the window
             break
         last = i
         if y != y:  # NaN: not decided at both ends of the window
@@ -195,11 +196,11 @@ def _quantile_block(group: GroupState, rule: RuleSpec, decision,
         else:
             insort(window, y)
         joined += 1
-        if before + 1 >= cap:
+        if before + 1 >= span:
             stop = i + 1
             break
-    if stop is None:  # did an admission outside the window reach the cap?
-        j = last + 1 + int(np.searchsorted(out_cum[last + 1:], cap - joined))
+    if stop is None:  # did an admission outside the window reach B?
+        j = last + 1 + int(np.searchsorted(out_cum[last + 1:], span - joined))
         stop = min(j + 1, n)
     res = res[:stop]
     res[out_i] = out_y
@@ -207,12 +208,12 @@ def _quantile_block(group: GroupState, rule: RuleSpec, decision,
     return res[at], at, stop
 
 
-def _consensus_block(group: GroupState, rule: RuleSpec, decision,
-                     a: np.ndarray, b: np.ndarray, cap: int) -> tuple:
+def _consensus_block(group: GroupState, rule: RuleSpec, a: np.ndarray,
+                     b: np.ndarray) -> tuple:
     """Consensus steps over at most _CONSENSUS_PAIRS sorted pairs (a, b),
-    in order, until `cap` members have joined; returns the admitted
-    opinions and their step offsets, in step order, and the number of
-    steps taken."""
+    in order; returns the admitted opinions and their step offsets, in
+    step order, and the number of steps taken."""
+    decision = kernel(rule)
     a, b = a[:_CONSENSUS_PAIRS], b[:_CONSENSUS_PAIRS]
     extremes = (group.min(), group.max())
     _, sure = block_decisions(rule, extremes, (0.0, 1.0), a, b)
@@ -225,24 +226,23 @@ def _consensus_block(group: GroupState, rule: RuleSpec, decision,
         out.append(y)
         at.append(i)
         extremes = (min(extremes[0], y), max(extremes[1], y))
-        if len(out) >= cap:
-            return np.array(out), np.array(at), i + 1
     return np.array(out, dtype=np.float64), np.array(at, dtype=int), a.size
 
 
-def _jump_block(group: GroupState, p: float, uniform, cap: int, raw: int,
-                raw_budget: Optional[int]) -> tuple:
-    """Up to min(cap, B) jump-mode members, drawn one at a time.  Returns
-    the members in order, the raw step count after each and after the
-    block, and whether the run ends here (budget spent or a stuck
+def _jump_block(group: GroupState, p: float, uniform, goal, raw: int,
+                budget) -> tuple:
+    """Up to B jump-mode members, drawn one at a time, stopping at the
+    group size `goal` and at `budget` raw steps (either may be math.inf).
+    Returns the members in order, the raw step count after each and after
+    the block, and whether the run ends here (budget spent or a stuck
     process)."""
     k0 = group.size
     num, den = p.as_integer_ratio()
     span, lo, window, lo_c, hi_c = _window(group, p)
     out, raws = [], []
     below = 0
-    for k in range(k0, k0 + min(cap, span)):
-        if raw_budget is not None and raw >= raw_budget:
+    for k in range(k0, min(goal, k0 + span)):
+        if raw >= budget:
             return out, raws, raw, True
         q = window[-(-num * k // den) - lo - below]
         if q <= 0.0:
@@ -252,8 +252,8 @@ def _jump_block(group: GroupState, p: float, uniform, cap: int, raw: int,
         if p_acc < 1.0:
             # rejections, then the acceptance itself
             skipped = _rejections(q, p_acc, u)
-            if raw_budget is not None and raw + skipped + 1 > raw_budget:
-                return out, raws, raw_budget, True
+            if raw + skipped + 1 > budget:
+                return out, raws, budget, True
             raw += skipped + 1
         else:
             raw += 1
@@ -296,7 +296,8 @@ def run(initial: GroupState, rule: RuleSpec, rng: Rng,
 
     group = initial
     k0 = group.size
-    goal = None if accepted_target is None else k0 + accepted_target
+    goal = math.inf if accepted_target is None else k0 + accepted_target
+    budget = math.inf if raw_budget is None else raw_budget
     checkpoints: list[Checkpoint] = []
     admitted: Optional[list] = [] if log_admitted else None
     raw = 0
@@ -330,43 +331,32 @@ def run(initial: GroupState, rule: RuleSpec, rng: Rng,
         if admitted is not None:
             admitted.extend(new.tolist())
 
-    def room() -> int:  # most members that can still join: one per step
-        return goal - group.size if goal is not None else raw_budget - raw
-
     if mode == "jump":
         uniform = rng.uniform
         done = False
-        while not done and (goal is None or group.size < goal) and \
-                (raw_budget is None or raw < raw_budget):
-            new, raws, raw, done = _jump_block(group, p, uniform, room(), raw,
-                                               raw_budget)
+        while not done and group.size < goal and raw < budget:
+            new, raws, raw, done = _jump_block(group, p, uniform, goal, raw,
+                                               budget)
             merge(np.array(new, dtype=np.float64), raws)
     else:
-        decision = kernel(rule)
         block = _consensus_block if p is None else _quantile_block
         a = b = np.empty(0)  # the buffer's sorted pairs, from `pos` on
         pos = 0
-        while (goal is None or group.size < goal) and \
-              (raw_budget is None or raw < raw_budget):
+        while group.size < goal and raw < budget:
             if pos == a.size:
                 # a step admits at most one member, so a buffer of `need`
-                # pairs cannot overshoot either limit and every draw in it
-                # is used
-                need = _CHUNK_PAIRS
-                if goal is not None:
-                    need = min(need, goal - group.size)
-                if raw_budget is not None:
-                    need = min(need, raw_budget - raw)
+                # pairs can pass neither limit (a block needs no cap for
+                # them) and every draw in it is used
                 a = b = None  # free the spent buffer before drawing anew
-                a, b = _sorted_pairs(rng, need)
+                a, b = sorted_pairs(rng, min(_CHUNK_PAIRS, goal - group.size,
+                                              budget - raw))
                 pos = 0
-            new, at, steps = block(group, rule, decision, a[pos:], b[pos:],
-                                   room())
+            new, at, steps = block(group, rule, a[pos:], b[pos:])
             merge(new, raw + 1 + at)
             pos += steps
             raw += steps
 
     if checkpoints[-1].k != group.size:  # k strictly increasing per checkpoint
         record(raw)
-    exhausted = goal is not None and group.size < goal
+    exhausted = accepted_target is not None and group.size < goal
     return Trajectory(checkpoints, raw, group.size - k0, admitted, exhausted)

@@ -86,8 +86,11 @@ class Rng:
 
         From _TABLE_MIN draws on, whole blocks of _BLOCK draws come from
         `_u64_blocks`; the rest are `next_u64()` calls.  The outputs and the
-        final state equal those of n calls to next_u64().
+        final state equal those of n calls to next_u64().  A negative n
+        raises ValueError.
         """
+        if n < 0:
+            raise ValueError(f"uniform_block needs n >= 0, got {n!r}")
         blocks = n // _BLOCK if n >= _TABLE_MIN else 0
         raw = self._u64_blocks(blocks) if blocks else np.empty(0, np.uint64)
         calls = n - blocks * _BLOCK

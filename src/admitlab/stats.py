@@ -16,8 +16,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .engine import sorted_pairs
 from .group import GroupState
-from .oracles import OracleContext, gap_functions
+from .oracles import OracleContext, _check_unit, gap_functions
 from .records import Record
 from .rng import Rng
 from .rules import RuleSpec, block_kernel
@@ -114,9 +115,11 @@ def _frozen_step_values(rule: RuleSpec, summary: float, trials: int,
     (median or driving quantile) held fixed, conditioned on acceptance: a
     pass draws the pairs expected to give the admissions still wanted.  A
     summary at which no step admits anyone, or so few that the admissions
-    wanted need more than _MAX_PAIRS pairs on average, raises ValueError."""
+    wanted need more than _MAX_PAIRS pairs on average, raises ValueError,
+    as does a summary outside [0, 1]."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    _check_unit(summary, "summary")
     decide, accept_prob = block_kernel(rule)
     p_acc = accept_prob(summary)
     if not p_acc > 0.0:
@@ -131,9 +134,7 @@ def _frozen_step_values(rule: RuleSpec, summary: float, trials: int,
     have = 0
     while have < trials:
         m = min(_PASS_PAIRS, math.ceil((trials - have) / p_acc))
-        u = rng.uniform_block(2 * m)
-        a, b = u[0::2], u[1::2]
-        vals = decide(summary, np.minimum(a, b), np.maximum(a, b))
+        vals = decide(summary, *sorted_pairs(rng, m))
         vals = vals[vals == vals]  # NaN: the pair admitted nobody
         take = min(len(vals), trials - have)
         out[have:have + take] = vals[:take]

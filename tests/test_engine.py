@@ -163,6 +163,12 @@ def test_budget_exhaustion_reported_not_raised():
                raw_budget=2000)
     assert traj.exhausted
     assert traj.raw_steps == 2000
+    # with no accepted target there is nothing to fall short of: a
+    # budget-only run ends on its budget without being exhausted
+    traj = run(GroupState([0.5, 0.5]), RuleSpec("consensus"), Rng(19),
+               raw_budget=2000)
+    assert not traj.exhausted
+    assert traj.raw_steps == 2000
 
 
 def test_run_argument_validation():

@@ -196,3 +196,15 @@ def test_group_holds_no_runs_finger_or_prefix_list():
         names = _names(SRC / name)
         assert kept in names
         assert not names & gone, f"{name} still names {sorted(names & gone)}"
+    # in steps mode the draw buffer is the only bound on the goal and the
+    # budget: `run` keeps no room count and a steps block takes no cap
+    defs = {node.name: node for node in ast.walk(ast.parse(
+        (SRC / "engine.py").read_text())) if isinstance(node, ast.FunctionDef)}
+    inner = {node.name for node in ast.walk(defs["run"])
+             if isinstance(node, ast.FunctionDef)}
+    assert "room" not in inner
+    for block in ("_quantile_block", "_consensus_block"):
+        args = defs[block].args
+        assert [a.arg for a in args.posonlyargs + args.args] == \
+            ["group", "rule", "a", "b"], block
+        assert not (args.vararg or args.kwonlyargs or args.kwarg), block

@@ -35,6 +35,18 @@ def test_block_matches_sequential():
     assert a.uniform() == b.uniform()
 
 
+def test_block_refuses_negative_length():
+    # a negative length raises and leaves the stream where it was; n = 0
+    # draws nothing
+    rng = Rng(1)
+    state = rng.state()
+    for n in (-1, -9000):
+        with pytest.raises(ValueError, match=repr(n)):
+            rng.uniform_block(n)
+        assert rng.state() == state
+    assert rng.uniform_block(0).size == 0 and rng.state() == state
+
+
 @pytest.mark.parametrize("n", [0, 1, 8191, 8192, 8193, 8192 + 255, 20000])
 def test_block_lengths_match_steps_and_state(n):
     # from 8192 draws on, whole 256-draw blocks come from the jump tables

@@ -249,6 +249,12 @@ def test_interval_accept_prob_validation():
         with pytest.raises(ValueError, match=repr(s)):
             estimate_interval_accept_prob(RuleSpec("veto", r=0.25), s,
                                           (0.0, 1.0), 10, Rng(1))
+    # majority admits at every summary, but a summary outside [0, 1] is
+    # no member value
+    for s in (math.nan, 1.5, -0.5):
+        with pytest.raises(ValueError, match=repr(s)):
+            estimate_interval_accept_prob(RuleSpec("majority"), s,
+                                          (0.0, 0.5), 1000, Rng(1))
     with pytest.raises(ValueError, match="consensus"):
         estimate_interval_accept_prob(RuleSpec("consensus"), 0.5, (0, 1), 10,
                                       Rng(1))
@@ -304,6 +310,10 @@ def test_smoothness_validation():
     with pytest.raises(ValueError, match="0.0"):
         smoothness_report(RuleSpec("veto", r=0.25), [0.75, 0.0], [0.1], 100,
                           Rng(13))
+    for s in (math.nan, 1.5, -0.5):
+        with pytest.raises(ValueError, match=repr(s)):
+            smoothness_report(RuleSpec("majority"), [0.3, s], [0.5], 100,
+                              Rng(13))
     for trials in (0, -1):
         with pytest.raises(ValueError, match="trials"):
             smoothness_report(RuleSpec("majority"), [0.5], [0.1], trials,
