@@ -34,9 +34,14 @@ a member-by-member run would.  A checkpoint never ends a block.
   probability `oracles.accept_any_veto`, and the admitted value from the
   exact conditional distribution of the accepted candidate: the same
   process law, cheap when acceptance collapses (r > 1/2 runs need ~k^2 raw
-  steps for k members).  Members are drawn one at a time with `uniform()`,
-  since a budget or a stuck process may stop a run between two draws and a
-  buffer could overshoot; each reads its quantile from the window list.
+  steps for k members).  A member takes exactly two draws, read from
+  `Rng.uniform_block` buffers of `2 * min(_CHUNK_PAIRS, goal - size,
+  budget - raw)` draws (a member takes at least one raw step): a run that
+  reaches its goal uses every draw.  A budget or a stuck process (q = 0)
+  may stop a run mid-buffer, even between a member's two draws; the run
+  then hands the unused draws back, so the stream ends where the per-call
+  reference (`_jump_loop`) leaves it.  A block of B members reads each
+  quantile from the window list.
 """
 
 from __future__ import annotations
@@ -229,42 +234,44 @@ def _consensus_block(group: GroupState, rule: RuleSpec, a: np.ndarray,
     return np.array(out, dtype=np.float64), np.array(at, dtype=int), a.size
 
 
-def _jump_block(group: GroupState, p: float, uniform, goal, raw: int,
+def _jump_block(group: GroupState, p: float, u: np.ndarray, raw: int,
                 budget) -> tuple:
-    """Up to B jump-mode members, drawn one at a time, stopping at the
-    group size `goal` and at `budget` raw steps (either may be math.inf).
-    Returns the members in order, the raw step count after each and after
-    the block, and whether the run ends here (budget spent or a stuck
-    process)."""
+    """Up to B jump-mode members from the buffered uniforms `u`, two draws
+    each, stopping when `u` runs out and at `budget` raw steps (maybe
+    math.inf).  Returns the members in order, the raw step count after
+    each and after the block, the draws used, and whether the run ends
+    here (budget spent or a stuck process)."""
     k0 = group.size
     num, den = p.as_integer_ratio()
     span, lo, window, lo_c, hi_c = _window(group, p)
+    n = min(span, u.size // 2)
     out, raws = [], []
     below = 0
-    for k in range(k0, min(goal, k0 + span)):
+    for k, u1, u2 in zip(range(k0, k0 + n), u[0:2 * n:2].tolist(),
+                         u[1:2 * n:2].tolist()):
+        used = 2 * (k - k0)
         if raw >= budget:
-            return out, raws, raw, True
+            return out, raws, raw, used, True
         q = window[-(-num * k // den) - lo - below]
         if q <= 0.0:
-            return out, raws, raw, True  # stuck process: report exhaustion
+            return out, raws, raw, used, True  # stuck: report exhaustion
         p_acc = accept_any_veto(q)
-        u = uniform()
         if p_acc < 1.0:
             # rejections, then the acceptance itself
-            skipped = _rejections(q, p_acc, u)
+            skipped = _rejections(q, p_acc, u1)
             if raw + skipped + 1 > budget:
-                return out, raws, budget, True
+                return out, raws, budget, used + 1, True
             raw += skipped + 1
         else:
             raw += 1
-        y = _accepted_veto_value(q, p_acc, uniform())
+        y = _accepted_veto_value(q, p_acc, u2)
         out.append(y)
         raws.append(raw)
         if y < lo_c:
             below += 1
         elif y <= hi_c:
             insort(window, y)
-    return out, raws, raw, False
+    return out, raws, raw, 2 * n, False
 
 
 def run(initial: GroupState, rule: RuleSpec, rng: Rng,
@@ -285,6 +292,11 @@ def run(initial: GroupState, rule: RuleSpec, rng: Rng,
         raise ValueError("initial group must be non-empty")
     if accepted_target is None and raw_budget is None:
         raise ValueError("need an accepted target or a raw-step budget")
+    for name, limit in (("accepted_target", accepted_target),
+                        ("raw_budget", raw_budget)):
+        if limit is not None and (type(limit) is bool or
+                                  not isinstance(limit, int)):
+            raise ValueError(f"{name} must be an int, got {limit!r}")
     if accepted_target is not None and accepted_target <= 0:
         raise ValueError("accepted target must be positive")
     if raw_budget is not None and raw_budget <= 0:
@@ -332,12 +344,28 @@ def run(initial: GroupState, rule: RuleSpec, rng: Rng,
             admitted.extend(new.tolist())
 
     if mode == "jump":
-        uniform = rng.uniform
+        # a member takes exactly two draws and at least one raw step, so a
+        # buffer of at most 2 * min(goal - size, budget - raw) draws is used
+        # up by a run that reaches its goal and holds no more than the rest
+        # of the budget can use; a run ended by the budget or stuck hands
+        # its unused draws back
+        u = np.empty(0)
+        pos = 0
         done = False
         while not done and group.size < goal and raw < budget:
-            new, raws, raw, done = _jump_block(group, p, uniform, goal, raw,
-                                               budget)
+            if pos == u.size:
+                u = None  # free the spent buffer before drawing anew
+                back = rng.state()
+                u = rng.uniform_block(2 * min(_CHUNK_PAIRS, goal - group.size,
+                                              budget - raw))
+                pos = 0
+            new, raws, raw, used, done = _jump_block(group, p, u[pos:], raw,
+                                                     budget)
             merge(np.array(new, dtype=np.float64), raws)
+            pos += used
+        if pos < u.size:  # hand back the draws the run did not use
+            rng.set_state(back)
+            rng.uniform_block(pos)
     else:
         block = _consensus_block if p is None else _quantile_block
         a = b = np.empty(0)  # the buffer's sorted pairs, from `pos` on

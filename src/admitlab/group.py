@@ -72,8 +72,8 @@ class GroupState:
 
     def count_interval(self, lo: float, hi: float, bounds: str = "closed") -> int:
         """Members in [lo, hi] (closed) or [lo, hi) (half_open)."""
-        if lo > hi:
-            raise ValueError(f"empty interval: lo={lo} > hi={hi}")
+        if not lo <= hi:  # NaN fails too
+            raise ValueError(f"not an interval: lo={lo}, hi={hi}")
         if bounds == "closed":
             return self.count_le(hi) - self.count_lt(lo)
         if bounds == "half_open":

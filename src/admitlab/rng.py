@@ -23,6 +23,14 @@ Output step (xoshiro256**, Blackman/Vigna):
 All arithmetic is mod 2^64.  A uniform variate on [0, 1) is the top 53 bits
 of the output times 2^-53, which is exactly representable in an IEEE double.
 
+Bulk draws (:meth:`Rng.uniform_block`) give the same stream as repeated
+uniform() calls.  From _TABLE_MIN draws on, numpy steps blocks of _BLOCK
+draws side by side, each block starting _BLOCK steps past the previous one.
+The update is linear over GF(2), so that jump maps a state to the XOR of
+the images of its set bits.  The 256 one-bit images (8 KB) are built once
+per import, on first use; each call derives its lookup rows from them and
+keeps none.
+
 Child streams for parallel trials are derived with :meth:`Rng.split`; the
 child seed is ``splitmix64_mix(seed + (index + 1) * 0x9E3779B97F4A7C15)``,
 so (master seed, trial index) pins the whole trial.
@@ -30,15 +38,22 @@ so (master seed, trial index) pins the whole trial.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _INV53 = 2.0 ** -53
 _BLOCK = 256  # draws per block when uniform_block steps blocks side by side
-# below this many draws, building the jump rows (about as costly as 5,000
-# single steps) outweighs what the side-by-side blocks save
-_TABLE_MIN = 8192
+# below this many draws, the fixed cost of stepping the blocks side by side
+# (about 3 ms: 256 rows of numpy calls, and the call's jump rows) outweighs
+# the 1.5 us that a next_u64() call costs per draw
+_TABLE_MIN = 2048
+# from this many blocks on, building 256-entry jump rows (about 1 ms, against
+# 0.4 ms for 16-entry ones) pays for the one lookup per state byte, not two
+_BYTE_ROWS_MIN = 128
+_SHIFT, _ROT, _UNROT = np.uint64(17), np.uint64(45), np.uint64(19)
 
 
 def _mix64(z: int) -> int:
@@ -104,27 +119,36 @@ class Rng:
         """`blocks * _BLOCK` raw outputs as uint64, the blocks side by side.
 
         Each block's start state is _BLOCK steps past the previous one,
-        found in Python from `_jump_rows`; numpy then advances all blocks
-        together, one generator step per row of the s1 history.
+        found in Python from this call's `_jump_rows`; numpy then advances
+        all blocks together, one generator step per row of the s1 history.
         """
-        jump = _jump_rows()
         state = self.s0 | self.s1 << 64 | self.s2 << 128 | self.s3 << 192
         starts = bytearray()
-        for _ in range(blocks):
-            starts += state.to_bytes(32, "little")
-            nxt = 0
-            for rows in jump:
-                nxt ^= rows[state & 255]
-                state >>= 8
-            state = nxt
+        if blocks < _BYTE_ROWS_MIN:  # two 16-entry rows per state byte
+            rows = _jump_rows(4)
+            lows, highs = rows[0::2], rows[1::2]
+            for _ in range(blocks):
+                digits = state.to_bytes(32, "little")
+                starts += digits
+                state = 0
+                for lo, hi, v in zip(lows, highs, digits):
+                    state ^= lo[v & 15] ^ hi[v >> 4]
+        else:  # one 256-entry row per state byte
+            rows = _jump_rows(8)
+            for _ in range(blocks):
+                digits = state.to_bytes(32, "little")
+                starts += digits
+                state = 0
+                for row, v in zip(rows, digits):
+                    state ^= row[v]
         self.s0 = state & _MASK
         self.s1 = state >> 64 & _MASK
         self.s2 = state >> 128 & _MASK
         self.s3 = state >> 192
-        lanes = np.frombuffer(starts, dtype="<u8").astype(np.uint64)
-        lanes = np.ascontiguousarray(lanes.reshape(blocks, 4).T)
+        lanes = np.frombuffer(starts, dtype="<u8").reshape(blocks, 4)
+        lanes = lanes.T.astype(np.uint64, order="C")  # a writable copy
         s1_hist = np.empty((_BLOCK, blocks), dtype=np.uint64)
-        _step_lanes(*lanes, s1_hist)
+        _step_lanes(lanes, s1_hist)
         x = s1_hist.T.reshape(-1)
         x *= np.uint64(5)
         out = x << np.uint64(7)
@@ -141,41 +165,59 @@ class Rng:
     def state(self) -> tuple[int, int, int, int]:
         return (self.s0, self.s1, self.s2, self.s3)
 
+    def set_state(self, state: tuple[int, int, int, int]) -> None:
+        """Resume the stream from a tuple that `state()` returned."""
+        self.s0, self.s1, self.s2, self.s3 = state
 
-def _step_lanes(s0, s1, s2, s3, s1_hist: np.ndarray):
-    """Step uint64 state lanes once per row of `s1_hist`, recording s1
-    before each step; returns the final lanes."""
+
+def _step_lanes(lanes: np.ndarray, s1_hist: np.ndarray) -> None:
+    """Step the (4, n) uint64 state `lanes` (rows s0..s3) in place once
+    per row of `s1_hist`, recording s1 before each step."""
+    _, s1, s2, s3 = lanes
+    low, high = lanes[:2], lanes[2:]   # (s0, s1) and (s2, s3)
+    swapped = lanes[1::-1]             # (s1, s0)
+    t = np.empty_like(s1)
     for row in s1_hist:
         row[:] = s1
-        t = s1 << np.uint64(17)
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
+        np.left_shift(s1, _SHIFT, out=t)
+        high ^= low                    # s2 ^= s0; s3 ^= s1
+        swapped ^= high                # s1 ^= s2; s0 ^= s3
         s2 ^= t
-        s3 = (s3 << np.uint64(45)) | (s3 >> np.uint64(19))
-    return s0, s1, s2, s3
+        np.left_shift(s3, _ROT, out=t)
+        s3 >>= _UNROT
+        s3 |= t
 
 
-def _jump_rows() -> list:
-    """rows[c][v]: the state _BLOCK steps on from the state whose byte c is
-    v and every other bit zero (s0 holds bits 0..63), as a 256-bit int.
+@functools.cache
+def _jump_basis() -> bytes:
+    """The images, _BLOCK steps on, of the 256 one-bit states, built once
+    per import on first use: image i is the state reached from bit i of
+    the 256-bit state (s0 holds bits 0..63) alone, as 32 little-endian
+    bytes, 8 KB in all."""
+    bit = np.arange(256)
+    lanes = np.zeros((4, 256), dtype=np.uint64)
+    lanes[bit // 64, bit] = np.left_shift(np.uint64(1),
+                                          (bit % 64).astype(np.uint64))
+    _step_lanes(lanes, np.empty((_BLOCK, 256), dtype=np.uint64))
+    return lanes.T.astype("<u8").tobytes()
+
+
+def _jump_rows(width: int) -> list:
+    """rows[c][v]: the state _BLOCK steps on from the state whose bits
+    width*c .. width*c + width - 1 spell v and whose other bits are zero,
+    as a 256-bit int, for a width of 4 or 8.
 
     The state update is linear over GF(2), so any state's image is the XOR
-    of its 32 bytes' rows.
+    of its digits' rows, and each row entry the XOR of basis images.  The
+    rows are rebuilt per call and never kept.
     """
-    bit = np.arange(256)
-    one = np.left_shift(np.uint64(1), (bit % 64).astype(np.uint64))
-    basis = [np.where(bit // 64 == w, one, np.uint64(0)) for w in range(4)]
-    after = _step_lanes(*basis, np.empty((_BLOCK, 256), dtype=np.uint64))
-    images = [int(a) | int(b) << 64 | int(c) << 128 | int(d) << 192
-              for a, b, c, d in zip(*after)]
-    jump = []
-    for c in range(32):
-        rows = [0] * 256
-        for j in range(8):
-            lo = 1 << j
-            for v in range(lo):
-                rows[lo + v] = rows[v] ^ images[8 * c + j]
-        jump.append(rows)
-    return jump
+    basis = _jump_basis()
+    images = [int.from_bytes(basis[i:i + 32], "little")
+              for i in range(0, len(basis), 32)]
+    rows = []
+    for c in range(0, 256, width):
+        row = [0]
+        for image in images[c:c + width]:
+            row += [v ^ image for v in row]
+        rows.append(row)
+    return rows

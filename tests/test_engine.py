@@ -171,6 +171,27 @@ def test_budget_exhaustion_reported_not_raised():
     assert traj.raw_steps == 2000
 
 
+def test_jump_buffer_bounded_by_budget():
+    # a member takes at least one raw step, so a budget-only jump run of
+    # 200 raw steps draws at most 400 uniforms at once, and hands back the
+    # ones it did not use
+    sizes = []
+
+    class CountingRng(Rng):
+        def uniform_block(self, n):
+            sizes.append(n)
+            return super().uniform_block(n)
+
+    rule = RuleSpec("veto", r=0.75)
+    rng, ref = CountingRng(1), Rng(1)
+    traj = run(GroupState([1.0]), rule, rng, raw_budget=200, mode="jump",
+               log_admitted=True)
+    _, ref_admitted, ref_raw = _jump_loop([1.0], rule, ref, raw_budget=200)
+    assert sizes and max(sizes) <= 400
+    assert (traj.admitted, traj.raw_steps) == (ref_admitted, ref_raw)
+    assert rng.state() == ref.state()
+
+
 def test_run_argument_validation():
     with pytest.raises(ValueError):
         run(GroupState(), RuleSpec("majority"), Rng(1), accepted_target=10)
@@ -185,6 +206,16 @@ def test_run_argument_validation():
     with pytest.raises(ValueError):
         run(GroupState([0.5]), RuleSpec("majority"), Rng(1),
             accepted_target=5, mode="jump")  # jump is veto-only
+    # a limit must be an int: 3.5 raw steps ran as a budget of 3.5, 2.5
+    # members raised TypeError inside the driver, True ran as 1
+    veto = RuleSpec("veto", r=0.75)
+    for name, value in [("raw_budget", 3.5), ("accepted_target", 2.5),
+                        ("accepted_target", True), ("raw_budget", False),
+                        ("accepted_target", "5")]:
+        for mode in ("steps", "jump"):
+            with pytest.raises(ValueError, match=name):
+                run(GroupState([0.5]), veto, Rng(1), mode=mode,
+                    **{name: value})
 
 
 @pytest.mark.parametrize("r, seed", [(0.9, 245), (0.95, 1), (0.999, 3)])
@@ -463,9 +494,19 @@ def _start(shape, n, seed):
     (RuleSpec("majority"), [0.25], "steps",
      [{"accepted_target": 3000, "raw_budget": 1500}, {"accepted_target": 700}]),
     (RuleSpec("veto", r=0.75), [1.0], "jump", [{"accepted_target": 2999}]),
+    # jump runs that hand unused buffered draws back: the budget ends
+    # between a member's two draws (about 2,000 members in), and a run from
+    # one member ends stuck at q = 0 (10,456 and 10,911 members; seed 3
+    # stops at 12,025), its second leg at once
+    (RuleSpec("veto", r=0.75), "spread", "jump",
+     [{"accepted_target": 5000, "raw_budget": 30000},
+      {"accepted_target": 500}]),
+    (RuleSpec("veto", r=0.999), [1.0], "jump",
+     [{"accepted_target": 20000}, {"accepted_target": 5}]),
 ], ids=["majority", "majority-collapsed", "veto-0.25", "veto-0.75",
         "veto-0.99", "consensus", "jump-0.25", "jump-0.75", "jump-0.999",
-        "majority-from-one", "jump-0.75-from-one"])
+        "majority-from-one", "jump-0.75-from-one", "jump-budget-mid-member",
+        "jump-stuck"])
 @pytest.mark.parametrize("seed", [4, 9])
 def test_block_driver_matches_per_call_reference(rule, shape, mode, legs,
                                                  seed):

@@ -110,6 +110,10 @@ def test_count_interval():
     assert g.count_interval(0.4, 0.9, "half_open") == 1
     with pytest.raises(ValueError):
         g.count_interval(0.6, 0.5)
+    # a NaN bound is no interval (it counted 0)
+    for lo, hi in [(math.nan, 0.6), (0.2, math.nan), (math.nan, math.nan)]:
+        with pytest.raises(ValueError):
+            g.count_interval(lo, hi)
 
 
 def test_count_interval_point_multiplicity():

@@ -208,3 +208,14 @@ def test_group_holds_no_runs_finger_or_prefix_list():
         assert [a.arg for a in args.posonlyargs + args.args] == \
             ["group", "rule", "a", "b"], block
         assert not (args.vararg or args.kwonlyargs or args.kwarg), block
+
+
+def test_engine_draws_only_in_blocks():
+    # every draw in engine.py comes from a uniform_block buffer; the
+    # per-call draws live only in the tests' reference loops
+    tree = ast.parse((SRC / "engine.py").read_text(), filename="engine.py")
+    found = [f"engine.py:{node.lineno} {node.attr}" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and node.attr in ("uniform", "next_u64")]
+    assert "uniform_block" in _names(SRC / "engine.py")
+    assert not found, f"per-call draws in the engine: {found}"

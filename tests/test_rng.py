@@ -1,8 +1,11 @@
 """Determinism and distributional sanity of the replayable generator."""
 
+import sys
+
 import numpy as np
 import pytest
 
+from admitlab import rng as rng_mod
 from admitlab.engine import run
 from admitlab.group import GroupState
 from admitlab.rng import Rng
@@ -47,10 +50,14 @@ def test_block_refuses_negative_length():
     assert rng.uniform_block(0).size == 0 and rng.state() == state
 
 
-@pytest.mark.parametrize("n", [0, 1, 8191, 8192, 8193, 8192 + 255, 20000])
+@pytest.mark.parametrize("n", [
+    0, 1, rng_mod._TABLE_MIN - 1, rng_mod._TABLE_MIN, rng_mod._TABLE_MIN + 1,
+    rng_mod._TABLE_MIN + rng_mod._BLOCK - 1, 8191, 8192, 8193, 8192 + 255,
+    20000, rng_mod._BYTE_ROWS_MIN * rng_mod._BLOCK + 7])
 def test_block_lengths_match_steps_and_state(n):
-    # from 8192 draws on, whole 256-draw blocks come from the jump tables
-    # and the tail is stepped
+    # from _TABLE_MIN draws on, whole _BLOCK-draw blocks start from jumps
+    # (16-entry rows, or 256-entry ones from _BYTE_ROWS_MIN blocks on) and
+    # the tail is stepped
     for seed in (3, 2 ** 64 - 1):
         a = Rng(seed)
         b = Rng(seed)
@@ -59,6 +66,28 @@ def test_block_lengths_match_steps_and_state(n):
         assert blk.dtype == np.float64 and len(blk) == n
         assert [(r >> 11) * 2.0 ** -53 for r in raw] == list(blk)
         assert a.state() == b.state()
+
+
+def test_jump_basis_is_cached_and_small():
+    # the 256 basis images are built once and kept in 8 KB, from which
+    # each call derives its own jump rows
+    basis = rng_mod._jump_basis()
+    assert basis is rng_mod._jump_basis()
+    assert len(basis) == 256 * 32 and sys.getsizeof(basis) <= 16 * 1024
+
+
+def test_second_block_steps_only_its_data_lanes(monkeypatch):
+    Rng(1).uniform_block(20000)  # the basis is built by now
+    lanes = []
+    step = rng_mod._step_lanes
+
+    def counted(state, s1_hist):
+        lanes.append(state.shape)
+        return step(state, s1_hist)
+
+    monkeypatch.setattr(rng_mod, "_step_lanes", counted)
+    Rng(2).uniform_block(20000)
+    assert lanes == [(4, 20000 // rng_mod._BLOCK)]
 
 
 def test_pair_is_sorted_and_advances_two():
