@@ -343,6 +343,16 @@ def removal_schedule(initial: Committee) -> ReplacementSchedule:
     return ReplacementSchedule(steps, "no-immunity-removal")
 
 
+def removal_run(k: int):
+    """The removal construction at threshold 3k+2: the committee 1..4k+3
+    with ell = k+1, its removal schedule, and that schedule replayed
+    requiring 3k+2 votes.  Returns (committee, schedule, replay result)."""
+    committee = Committee(list(range(1, 4 * k + 4)), ell=k + 1)
+    schedule = removal_schedule(committee)
+    return committee, schedule, replay(committee, schedule,
+                                       require_votes=3 * k + 2)
+
+
 # ------------------------------------------------ random legal replacements
 
 def legal_intervals(committee: Committee, i: int) -> list:

@@ -422,11 +422,7 @@ def _run_adversary(cfg: ExperimentConfig):
         ok, votes, _ = adversaries.one_step_irreplaceable(com, 2 * cfg.k + 2)
         return ({"median_irreplaceable": ok},
                 {"n": com.n, "threshold": com.threshold, "max_votes": votes})
-    k = cfg.k  # removal
-    n = 4 * k + 3
-    committee = Committee(list(range(1, n + 1)), ell=k + 1)  # 3k+2 votes
-    schedule = adversaries.removal_schedule(committee)
-    res = adversaries.replay(committee, schedule, require_votes=3 * k + 2)
+    committee, schedule, res = adversaries.removal_run(cfg.k)
     survivors = set(committee.ids) & set(res.committee.ids)
     return ({"all_steps_legal": res.accepted_all,
              "all_original_ids_removed": not survivors},

@@ -9,39 +9,40 @@ admissions in step order with the raw count of each; they join in one
 which is recorded with that admission's raw count, so `record()` sees what
 a member-by-member run would.  A checkpoint never ends a block.
 
-* ``steps`` (default, every rule): each raw step draws a sorted candidate
-  pair and the rule decides on its summary, with the same draws and
-  decisions as the per-call reference in the tests (`_step_loop`: two
-  `uniform()` calls per step, a plain sorted list).  The draws come from
-  `Rng.uniform_block`, `need = min(_CHUNK_PAIRS, goal - size, budget - raw)`
-  pairs at a time (an absent limit is `math.inf`).  A step admits at most
-  one member, so a buffer can pass neither limit: the buffer alone bounds
-  the goal and the budget, every buffer is used up and the stream ends
-  where 2 * raw `uniform()` calls leave it.  A block bounds only its
-  window: a quantile rule's block admits at most B = 8 * isqrt(k) members,
-  so its summary stays inside the window [L, H] = [select(r0 - B),
-  select(r0 + B)] of the block's start group (cut at the group's ends, so
-  a small group's window is all of it), over as many pairs as those
-  admissions need at the start summary's acceptance rate.
-  `rules.block_decisions` decides every pair at L and at H in numpy;
-  Python walks, in step order, only the pairs decided differently and the
-  admissions landing inside [L, H], reading the summary from the window as
-  a sorted list, offset by the admissions below L.
-  Consensus needs no window: its min only falls and its max only rises, so
-  a pair rejected at the block's start stays rejected.
+Both modes share one loop in `run`.  Its draws come from `Rng.uniform_block`
+buffers of `2 * min(_CHUNK_PAIRS, goal - size, budget - raw)` draws (an
+absent limit is `math.inf`): every mode takes exactly two draws per step
+or member and at least one raw step per member, so a buffer holds no more
+than the rest of the goal or the budget can use, and a run that reaches
+its goal uses every draw.  The loop saves `rng.state()` before each
+buffer and hands the unused draws back when a run stops mid-buffer, so the
+stream ends where the per-call references in the tests (`_step_loop`,
+`_jump_loop`) leave it.  Every block takes `(group, rule, u, raw, budget)`
+and returns its admissions in step order, the raw count after each and
+after the block, the draws it used and whether the run ends there.
+
+* ``steps`` (default, every rule): each raw step sorts a candidate pair
+  and the rule decides on its summary.  A step admits at most one member,
+  so a steps buffer is always used up and the budget never stops a block.
+  A quantile rule's block admits at most B = 8 * isqrt(k) members, so its
+  summary stays inside the window [L, H] = [select(r0 - B), select(r0 +
+  B)] of the block's start group (cut at the group's ends, so a small
+  group's window is all of it), over as many pairs as those admissions
+  need at the start summary's acceptance rate.  `rules.block_decisions`
+  decides every pair at L and at H in numpy; Python walks, in step order,
+  only the pairs decided differently and the admissions landing inside
+  [L, H], reading the summary from the window as a sorted list, offset by
+  the admissions below L.  Consensus needs no window: its min only falls
+  and its max only rises, so a pair rejected at the block's start stays
+  rejected.
 * ``jump`` (veto rules only): the number of consecutive rejected steps is
   sampled from the geometric law implied by the total acceptance
   probability `oracles.accept_any_veto`, and the admitted value from the
   exact conditional distribution of the accepted candidate: the same
   process law, cheap when acceptance collapses (r > 1/2 runs need ~k^2 raw
-  steps for k members).  A member takes exactly two draws, read from
-  `Rng.uniform_block` buffers of `2 * min(_CHUNK_PAIRS, goal - size,
-  budget - raw)` draws (a member takes at least one raw step): a run that
-  reaches its goal uses every draw.  A budget or a stuck process (q = 0)
-  may stop a run mid-buffer, even between a member's two draws; the run
-  then hands the unused draws back, so the stream ends where the per-call
-  reference (`_jump_loop`) leaves it.  A block of B members reads each
-  quantile from the window list.
+  steps for k members).  A block of B members reads each quantile from the
+  window list.  A budget or a stuck process (q = 0) may stop a run
+  mid-buffer, even between a member's two draws.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from .records import Record
 from .rng import Rng
 from .rules import RuleSpec, block_decisions, block_kernel, kernel
 
-_CHUNK_PAIRS = 32768  # most candidate pairs the steps driver draws at once
+_CHUNK_PAIRS = 32768  # most pairs (steps or members) `run` draws at once
 _CONSENSUS_PAIRS = 4096  # a consensus block's pairs; bounds the lists it walks
 
 
@@ -124,9 +125,9 @@ def _rejections(q: float, p_acc: float, u: float) -> int:
     return int(2.0 ** (bits - shift)) << shift
 
 
-def sorted_pairs(rng: Rng, n: int) -> tuple:
-    """n candidate pairs from 2n draws, as arrays of lower and upper ends."""
-    u = rng.uniform_block(2 * n)
+def sorted_pairs(u: np.ndarray) -> tuple:
+    """The candidate pairs of the draws `u`, as arrays of lower and upper
+    ends."""
     return np.minimum(u[0::2], u[1::2]), np.maximum(u[0::2], u[1::2])
 
 
@@ -149,20 +150,21 @@ def _window(group: GroupState, p: float) -> tuple:
     return span, lo, window, lo_c, hi_c
 
 
-def _quantile_block(group: GroupState, rule: RuleSpec, a: np.ndarray,
-                    b: np.ndarray) -> tuple:
-    """Steps of a quantile-driven rule over the sorted pairs (a, b), in
+def _quantile_block(group: GroupState, rule: RuleSpec, u: np.ndarray,
+                    raw: int, budget) -> tuple:
+    """Steps of a quantile-driven rule over the draws `u`, a pair each, in
     order, until B members have joined or the block's pairs run out: as
     many as those admissions need at the start summary's acceptance rate.
-    Returns the admitted opinions and their step offsets, in step order,
-    and the number of steps taken."""
+    The buffer of `run` bounds the goal and the budget: no `budget` read."""
     k0 = group.size
     num, den = rule.p.as_integer_ratio()
     decision = kernel(rule)
     span, lo, window, lo_c, hi_c = _window(group, rule.p)
     p_acc = block_kernel(rule)[1](group.quantile(rule.p))
-    n = a.size if p_acc * a.size <= span else math.ceil(span / p_acc)
-    a, b = a[:n], b[:n]
+    n = u.size // 2
+    if p_acc * n > span:
+        n = math.ceil(span / p_acc)
+    a, b = sorted_pairs(u[:2 * n])
     ys, sure = block_decisions(rule, max(lo_c, 0.0), min(hi_c, 1.0), a, b)
     res = np.where(sure, ys, math.nan)  # the sure admissions; NaN elsewhere
     below = res < lo_c
@@ -210,16 +212,16 @@ def _quantile_block(group: GroupState, rule: RuleSpec, a: np.ndarray,
     res = res[:stop]
     res[out_i] = out_y
     at = np.flatnonzero(res == res)
-    return res[at], at, stop
+    return res[at], raw + 1 + at, raw + stop, 2 * stop, False
 
 
-def _consensus_block(group: GroupState, rule: RuleSpec, a: np.ndarray,
-                     b: np.ndarray) -> tuple:
-    """Consensus steps over at most _CONSENSUS_PAIRS sorted pairs (a, b),
-    in order; returns the admitted opinions and their step offsets, in
-    step order, and the number of steps taken."""
+def _consensus_block(group: GroupState, rule: RuleSpec, u: np.ndarray,
+                     raw: int, budget) -> tuple:
+    """Consensus steps over the draws `u`, a pair each, in order, for at
+    most _CONSENSUS_PAIRS pairs.  The buffer of `run` bounds the goal and
+    the budget: no `budget` read."""
     decision = kernel(rule)
-    a, b = a[:_CONSENSUS_PAIRS], b[:_CONSENSUS_PAIRS]
+    a, b = sorted_pairs(u[:2 * _CONSENSUS_PAIRS])
     extremes = (group.min(), group.max())
     _, sure = block_decisions(rule, extremes, (0.0, 1.0), a, b)
     walk = np.flatnonzero(~sure)
@@ -231,36 +233,35 @@ def _consensus_block(group: GroupState, rule: RuleSpec, a: np.ndarray,
         out.append(y)
         at.append(i)
         extremes = (min(extremes[0], y), max(extremes[1], y))
-    return np.array(out, dtype=np.float64), np.array(at, dtype=int), a.size
+    return (np.array(out, dtype=np.float64), raw + 1 + np.array(at, dtype=int),
+            raw + a.size, 2 * a.size, False)
 
 
-def _jump_block(group: GroupState, p: float, u: np.ndarray, raw: int,
+def _jump_block(group: GroupState, rule: RuleSpec, u: np.ndarray, raw: int,
                 budget) -> tuple:
-    """Up to B jump-mode members from the buffered uniforms `u`, two draws
-    each, stopping when `u` runs out and at `budget` raw steps (maybe
-    math.inf).  Returns the members in order, the raw step count after
-    each and after the block, the draws used, and whether the run ends
-    here (budget spent or a stuck process)."""
+    """Up to B jump-mode members from the draws `u`, two each, stopping when
+    `u` runs out and at `budget` raw steps (maybe math.inf); the run ends
+    here when the budget is spent or the process is stuck."""
     k0 = group.size
-    num, den = p.as_integer_ratio()
-    span, lo, window, lo_c, hi_c = _window(group, p)
+    num, den = rule.p.as_integer_ratio()
+    span, lo, window, lo_c, hi_c = _window(group, rule.p)
     n = min(span, u.size // 2)
     out, raws = [], []
     below = 0
+    used, done = 2 * n, False
     for k, u1, u2 in zip(range(k0, k0 + n), u[0:2 * n:2].tolist(),
                          u[1:2 * n:2].tolist()):
-        used = 2 * (k - k0)
-        if raw >= budget:
-            return out, raws, raw, used, True
         q = window[-(-num * k // den) - lo - below]
-        if q <= 0.0:
-            return out, raws, raw, used, True  # stuck: report exhaustion
+        if raw >= budget or q <= 0.0:  # q = 0: stuck, report exhaustion
+            used, done = 2 * (k - k0), True
+            break
         p_acc = accept_any_veto(q)
         if p_acc < 1.0:
             # rejections, then the acceptance itself
             skipped = _rejections(q, p_acc, u1)
             if raw + skipped + 1 > budget:
-                return out, raws, budget, used + 1, True
+                used, done, raw = 2 * (k - k0) + 1, True, budget
+                break
             raw += skipped + 1
         else:
             raw += 1
@@ -271,7 +272,7 @@ def _jump_block(group: GroupState, p: float, u: np.ndarray, raw: int,
             below += 1
         elif y <= hi_c:
             insort(window, y)
-    return out, raws, raw, 2 * n, False
+    return np.array(out, dtype=np.float64), raws, raw, used, done
 
 
 def run(initial: GroupState, rule: RuleSpec, rng: Rng,
@@ -343,46 +344,24 @@ def run(initial: GroupState, rule: RuleSpec, rng: Rng,
         if admitted is not None:
             admitted.extend(new.tolist())
 
-    if mode == "jump":
-        # a member takes exactly two draws and at least one raw step, so a
-        # buffer of at most 2 * min(goal - size, budget - raw) draws is used
-        # up by a run that reaches its goal and holds no more than the rest
-        # of the budget can use; a run ended by the budget or stuck hands
-        # its unused draws back
-        u = np.empty(0)
-        pos = 0
-        done = False
-        while not done and group.size < goal and raw < budget:
-            if pos == u.size:
-                u = None  # free the spent buffer before drawing anew
-                back = rng.state()
-                u = rng.uniform_block(2 * min(_CHUNK_PAIRS, goal - group.size,
-                                              budget - raw))
-                pos = 0
-            new, raws, raw, used, done = _jump_block(group, p, u[pos:], raw,
-                                                     budget)
-            merge(np.array(new, dtype=np.float64), raws)
-            pos += used
-        if pos < u.size:  # hand back the draws the run did not use
-            rng.set_state(back)
-            rng.uniform_block(pos)
-    else:
-        block = _consensus_block if p is None else _quantile_block
-        a = b = np.empty(0)  # the buffer's sorted pairs, from `pos` on
-        pos = 0
-        while group.size < goal and raw < budget:
-            if pos == a.size:
-                # a step admits at most one member, so a buffer of `need`
-                # pairs can pass neither limit (a block needs no cap for
-                # them) and every draw in it is used
-                a = b = None  # free the spent buffer before drawing anew
-                a, b = sorted_pairs(rng, min(_CHUNK_PAIRS, goal - group.size,
-                                              budget - raw))
-                pos = 0
-            new, at, steps = block(group, rule, a[pos:], b[pos:])
-            merge(new, raw + 1 + at)
-            pos += steps
-            raw += steps
+    block = _jump_block if mode == "jump" else \
+        _consensus_block if p is None else _quantile_block
+    u = np.empty(0)  # the buffer's draws, used up to `pos`
+    pos = 0
+    done = False
+    while not done and group.size < goal and raw < budget:
+        if pos == u.size:
+            u = None  # free the spent buffer before drawing anew
+            back = rng.state()
+            u = rng.uniform_block(2 * min(_CHUNK_PAIRS, goal - group.size,
+                                          budget - raw))
+            pos = 0
+        new, raws, raw, used, done = block(group, rule, u[pos:], raw, budget)
+        merge(new, raws)
+        pos += used
+    if pos < u.size:  # a run stopped mid-buffer hands the rest back
+        rng.set_state(back)
+        rng.uniform_block(pos)
 
     if checkpoints[-1].k != group.size:  # k strictly increasing per checkpoint
         record(raw)

@@ -353,10 +353,7 @@ def _immunity_phase_transition(map_fn):
                        and report.clean)
 
         # removal phase: threshold 3k+2 removes every original id
-        n = 4 * k + 3
-        c = Committee(list(range(1, n + 1)), ell=k + 1)
-        sched = adversaries.removal_schedule(c)
-        res = adversaries.replay(c, sched, require_votes=3 * k + 2)
+        c, _, res = adversaries.removal_run(k)
         removal_ok = (c.threshold == 3 * k + 2 and res.accepted_all
                       and not (set(c.ids) & set(res.committee.ids)))
 

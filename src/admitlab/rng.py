@@ -166,7 +166,11 @@ class Rng:
         return (self.s0, self.s1, self.s2, self.s3)
 
     def set_state(self, state: tuple[int, int, int, int]) -> None:
-        """Resume the stream from a tuple that `state()` returned."""
+        """Resume the stream from a tuple that `state()` returned: four ints
+        in [0, 2^64), not all zero (the all-zero state locks the stream)."""
+        if not (isinstance(state, tuple) and len(state) == 4 and any(state)
+                and all(type(w) is int and 0 <= w <= _MASK for w in state)):
+            raise ValueError(f"not a generator state: {state!r}")
         self.s0, self.s1, self.s2, self.s3 = state
 
 

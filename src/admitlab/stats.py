@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .engine import sorted_pairs
+from .engine import run, sorted_pairs
 from .group import GroupState
 from .oracles import OracleContext, _check_unit, gap_functions
 from .records import Record
@@ -134,7 +134,7 @@ def _frozen_step_values(rule: RuleSpec, summary: float, trials: int,
     have = 0
     while have < trials:
         m = min(_PASS_PAIRS, math.ceil((trials - have) / p_acc))
-        vals = decide(summary, *sorted_pairs(rng, m))
+        vals = decide(summary, *sorted_pairs(rng.uniform_block(2 * m)))
         vals = vals[vals == vals]  # NaN: the pair admitted nobody
         take = min(len(vals), trials - have)
         out[have:have + take] = vals[:take]
@@ -276,6 +276,10 @@ def quantile_progress_test(rule: RuleSpec, ctx: OracleContext,
         raise ValueError(f"context p={ctx.p!r} is not the rule's p={rule.p!r}")
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if type(t) is not int or t < 1:
+        raise ValueError(f"t must be an int of at least 1, got {t!r}")
+    if not sigma > 0.0:
+        raise ValueError(f"sigma must be positive, got {sigma!r}")
     gaps = gap_functions(ctx, start_gap)
     g_val = gaps.g_r if side == "right" else gaps.g_l
     if g_val <= 0.0:
@@ -296,8 +300,6 @@ def quantile_progress_test(rule: RuleSpec, ctx: OracleContext,
     required = g_val / 4.0 * t
     details = []
     passes = 0
-    from .engine import run as engine_run
-
     for trial in range(trials):
         sub = rng.split(trial)
         group = _progress_start_group(q_start, sigma, t, rule.p, sub)
@@ -309,7 +311,7 @@ def quantile_progress_test(rule: RuleSpec, ctx: OracleContext,
                 raise ValueError(
                     f"hypothesis: at least t={t} members in the "
                     f"sigma-neighborhood [{lo}, {hi}] fails (trial {trial})")
-        engine_run(group, rule, sub, accepted_target=t)
+        run(group, rule, sub, accepted_target=t)
         q1 = group.quantile(rule.p)
         gap1 = abs(q1 - ctx.tau)
         lo, hi = (q0, q1) if q0 <= q1 else (q1, q0)

@@ -18,6 +18,7 @@ from admitlab.adversaries import (
     immunity_config,
     legal_intervals,
     one_step_irreplaceable,
+    removal_run,
     removal_schedule,
     replay,
     solve_geometric_delta,
@@ -263,6 +264,18 @@ def test_removal_schedule_k2():
     res = replay(c, sched, require_votes=8)
     assert res.accepted_all
     assert not set(range(1, 12)) & set(res.committee.ids)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_removal_run(k):
+    # the committee 1..4k+3 at threshold 3k+2, its schedule, and the replay
+    # requiring 3k+2 votes, which removes every original id
+    c, sched, res = removal_run(k)
+    assert c.values == tuple(range(1, 4 * k + 4)) and c.threshold == 3 * k + 2
+    assert sched.steps == removal_schedule(c).steps
+    assert res.accepted_all and len(res.vote_counts) == len(sched.steps)
+    assert min(res.vote_counts) >= 3 * k + 2
+    assert not set(c.ids) & set(res.committee.ids)
 
 
 def test_removal_schedule_rejected_in_immunity_phase():

@@ -28,6 +28,9 @@ class StubRng:
         block, self.values = self.values[:n], self.values[n:]
         return np.array(block)
 
+    def state(self):
+        return tuple(self.values)
+
 
 def test_majority_admits_every_step():
     g = GroupState([0.25])
@@ -42,14 +45,17 @@ def _one_step(g, rule, pair):
 
 
 class _BlockOnly:
-    """A draw source offering `uniform_block` and nothing else."""
+    """A draw source offering `uniform_block` and `state` and nothing else:
+    no single draws and no `set_state`."""
 
     def __init__(self, seed):
-        self.uniform_block = Rng(seed).uniform_block
+        rng = Rng(seed)
+        self.uniform_block, self.state = rng.uniform_block, rng.state
 
 
 def test_steps_mode_draws_only_blocks():
-    # a steps-mode run must not ask its source for single draws
+    # a steps-mode run must not ask its source for single draws, and uses
+    # up every buffer, so it never hands draws back
     rule = RuleSpec("veto", r=0.25)
     want = run(GroupState([0.5]), rule, Rng(8), accepted_target=300,
                log_admitted=True)
@@ -190,6 +196,47 @@ def test_jump_buffer_bounded_by_budget():
     assert sizes and max(sizes) <= 400
     assert (traj.admitted, traj.raw_steps) == (ref_admitted, ref_raw)
     assert rng.state() == ref.state()
+
+
+class _SpyRng(Rng):
+    """An Rng that counts its `set_state` calls."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.restores = 0
+
+    def set_state(self, state):
+        self.restores += 1
+        super().set_state(state)
+
+
+@pytest.mark.parametrize("rule, legs", [
+    (RuleSpec("majority"), [{"accepted_target": _CHUNK_PAIRS + 500}]),
+    (RuleSpec("veto", r=0.75), [{"accepted_target": 10 ** 6,
+                                 "raw_budget": 5000}]),
+    (RuleSpec("consensus"), [{"raw_budget": 3000},
+                             {"accepted_target": 2, "raw_budget": 9000}]),
+], ids=["goal", "budget", "chained"])
+def test_steps_runs_never_hand_draws_back(rule, legs):
+    # a step takes two draws and admits at most one member, so a steps
+    # buffer is always used up, whatever ends the run
+    rng, ref = _SpyRng(3), Rng(3)
+    group = GroupState(_start("middle", 300, 3))
+    for leg in legs:
+        traj = run(group, rule, rng, **leg)
+        ref.uniform_block(2 * traj.raw_steps)
+    assert rng.restores == 0
+    assert rng.state() == ref.state()
+
+
+def test_jump_run_stopped_by_budget_hands_draws_back():
+    rng = _SpyRng(1)
+    traj = run(GroupState([1.0]), RuleSpec("veto", r=0.75), rng,
+               accepted_target=50, mode="jump")
+    assert traj.accepted == 50 and rng.restores == 0
+    traj = run(GroupState([1.0]), RuleSpec("veto", r=0.75), rng,
+               raw_budget=200, mode="jump")
+    assert traj.raw_steps == 200 and rng.restores == 1
 
 
 def test_run_argument_validation():

@@ -196,18 +196,29 @@ def test_group_holds_no_runs_finger_or_prefix_list():
         names = _names(SRC / name)
         assert kept in names
         assert not names & gone, f"{name} still names {sorted(names & gone)}"
-    # in steps mode the draw buffer is the only bound on the goal and the
-    # budget: `run` keeps no room count and a steps block takes no cap
+    # one loop serves every rule and mode: `run` keeps no room
+    # count and holds one `while`, and every block takes one signature; the
+    # draw buffer alone bounds a steps block, which never reads the budget
     defs = {node.name: node for node in ast.walk(ast.parse(
         (SRC / "engine.py").read_text())) if isinstance(node, ast.FunctionDef)}
-    inner = {node.name for node in ast.walk(defs["run"])
-             if isinstance(node, ast.FunctionDef)}
-    assert "room" not in inner
-    for block in ("_quantile_block", "_consensus_block"):
+    inner = [node for node in ast.walk(defs["run"])
+             if isinstance(node, ast.FunctionDef) and node is not defs["run"]]
+    assert "room" not in {node.name for node in inner}
+    nested = {id(node) for f in inner for node in ast.walk(f)}
+    loops = [node for node in ast.walk(defs["run"])
+             if isinstance(node, ast.While) and id(node) not in nested]
+    assert len(loops) == 1
+    assert "mode" not in {node.id for node in ast.walk(loops[0])
+                          if isinstance(node, ast.Name)}
+    for block in ("_quantile_block", "_consensus_block", "_jump_block"):
         args = defs[block].args
         assert [a.arg for a in args.posonlyargs + args.args] == \
-            ["group", "rule", "a", "b"], block
+            ["group", "rule", "u", "raw", "budget"], block
         assert not (args.vararg or args.kwonlyargs or args.kwarg), block
+    for block in ("_quantile_block", "_consensus_block"):
+        reads = {node.id for node in ast.walk(defs[block])
+                 if isinstance(node, ast.Name)}
+        assert "budget" not in reads, block
 
 
 def test_engine_draws_only_in_blocks():

@@ -50,6 +50,29 @@ def test_block_refuses_negative_length():
     assert rng.uniform_block(0).size == 0 and rng.state() == state
 
 
+def test_set_state_resumes_the_stream():
+    a, b = Rng(5), Rng(6)
+    a.uniform_block(3)
+    b.set_state(a.state())
+    assert b.uniform_block(5000).tolist() == a.uniform_block(5000).tolist()
+    b.set_state((1, 0, 0, 0))
+    b.set_state((0, 2 ** 64 - 1, 0, 0))
+    assert 0.0 <= b.uniform() < 1.0
+
+
+@pytest.mark.parametrize("state", [
+    (0, 0, 0, 0), (-1, 1, 1, 1), (2 ** 64, 1, 1, 1), (1, 1, 1),
+    (1, 1, 1, 1, 1), (True, 1, 1, 1), (1.0, 1, 1, 1), [1, 1, 1, 1], None])
+def test_set_state_rejects_states_outside_the_domain(state):
+    # the all-zero state locks the stream at 0, a negative word draws 1.0,
+    # and a word past 2^64 makes blocks and per-call draws disagree
+    rng = Rng(1)
+    before = rng.state()
+    with pytest.raises(ValueError, match="generator state"):
+        rng.set_state(state)
+    assert rng.state() == before
+
+
 @pytest.mark.parametrize("n", [
     0, 1, rng_mod._TABLE_MIN - 1, rng_mod._TABLE_MIN, rng_mod._TABLE_MIN + 1,
     rng_mod._TABLE_MIN + rng_mod._BLOCK - 1, 8191, 8192, 8193, 8192 + 255,

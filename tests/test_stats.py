@@ -336,6 +336,13 @@ def test_progress_preconditions_rejected():
         quantile_progress_test(rule, ctx, 0.1, 0.2, 100, 5, Rng(16))
     with pytest.raises(ValueError, match="trials"):
         quantile_progress_test(rule, ctx, 0.1, 0.002, 100, 0, Rng(20))
+    # t and sigma are checked before any group is built or run
+    for t in (0, -2, True, 2.0, "5"):
+        with pytest.raises(ValueError, match="^t must"):
+            quantile_progress_test(rule, ctx, 0.1, 0.002, t, 5, Rng(21))
+    for sigma in (0.0, -0.001, math.nan):
+        with pytest.raises(ValueError, match="^sigma must"):
+            quantile_progress_test(rule, ctx, 0.1, sigma, 100, 5, Rng(22))
 
 
 def test_progress_context_must_describe_the_rule():
