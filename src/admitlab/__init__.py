@@ -16,7 +16,6 @@ from .oracles import (
     triangle_cdf,
     triangle_pdf,
     truncated_triangle_cdf,
-    truncated_triangle_pdf,
     veto_context,
 )
 from .committee import Committee
@@ -42,7 +41,6 @@ __all__ = [
     "triangle_cdf",
     "triangle_pdf",
     "truncated_triangle_cdf",
-    "truncated_triangle_pdf",
     "veto_context",
     "__version__",
 ]

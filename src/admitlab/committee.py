@@ -20,7 +20,7 @@ from typing import Sequence
 
 
 def _check_rational(x, what: str):
-    if isinstance(x, float) or not isinstance(x, numbers.Rational):
+    if isinstance(x, (float, bool)) or not isinstance(x, numbers.Rational):
         raise TypeError(f"{what} must be an exact rational, got {type(x).__name__}")
     return x
 
@@ -39,8 +39,9 @@ class Committee:
         n = len(vals)
         if n < 1:
             raise ValueError("committee must have at least one member")
-        if not 0 <= ell <= (n - 1) // 2:
-            raise ValueError(f"ell={ell} outside 0..{(n - 1) // 2} for n={n}")
+        if type(ell) is not int or not 0 <= ell <= (n - 1) // 2:
+            raise ValueError(f"ell={ell!r} is not an int in 0..{(n - 1) // 2}"
+                             f" for n={n}")
         self.values = tuple(vals)
         self.ids = tuple(range(1, n + 1))
         self.n = n

@@ -223,8 +223,8 @@ def _consensus_block(group: GroupState, rule: RuleSpec, u: np.ndarray,
     decision = kernel(rule)
     a, b = sorted_pairs(u[:2 * _CONSENSUS_PAIRS])
     extremes = (group.min(), group.max())
-    _, sure = block_decisions(rule, extremes, (0.0, 1.0), a, b)
-    walk = np.flatnonzero(~sure)
+    ys = block_kernel(rule)[0](extremes, a, b)
+    walk = np.flatnonzero(ys == ys)  # NaN: rejected at the start extremes
     out, at = [], []
     for i, y1, y2 in zip(walk.tolist(), a[walk].tolist(), b[walk].tolist()):
         y = decision(extremes, y1, y2)

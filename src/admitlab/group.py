@@ -80,21 +80,14 @@ class GroupState:
             return self.count_lt(hi) - self.count_lt(lo)
         raise ValueError(f"unknown bounds convention {bounds!r}")
 
-    def quantile_rank(self, p: float) -> int:
-        """Rank of the p-quantile: max(1, ceil(p * size)), computed exactly.
-
-        The member at this rank is the smallest q with at least p*k members
-        at or below it and at most p*k strictly below it.
-        """
+    def quantile(self, p: float) -> float:
+        """Smallest member q with at least p*k members at or below it and at
+        most p*k strictly below it: the member of rank `quantile_rank`."""
         if self._a.size == 0:
             raise ValueError("quantile of empty group")
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"quantile parameter {p!r} outside [0, 1]")
-        return quantile_rank(p, self._a.size)
-
-    def quantile(self, p: float) -> float:
-        """Smallest member satisfying the two quantile inequalities."""
-        return self.select(self.quantile_rank(p))
+        return self.select(quantile_rank(p, self._a.size))
 
     def median(self) -> float:
         """quantile(1/2); the lower median for even sizes."""
@@ -111,10 +104,6 @@ class GroupState:
         if self._a.size == 0:
             raise ValueError("max of empty group")
         return self._a.item(-1)
-
-    def values(self) -> list[float]:
-        """All members in sorted order (O(k); for checkpoints and tests)."""
-        return self._a.tolist()
 
 
 def quantile_rank(p: float, k: int) -> int:

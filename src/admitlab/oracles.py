@@ -87,17 +87,6 @@ def triangle_cdf(x):
     return _branch(x <= 0.5, 2.0 * x * x, 1.0 - 2.0 * _square(1.0 - x))
 
 
-def truncated_triangle_pdf(x: float, q: float) -> float:
-    """Limit density of a veto process with quantile parameter q > 1/2."""
-    _check_unit(x)
-    if not 0.5 < q <= 1.0:
-        raise ValueError(f"truncated triangle needs q in (1/2, 1], got {q!r}")
-    norm = 1.0 - 2.0 * (1.0 - q) ** 2
-    if x <= q:
-        return 2.0 * x / norm
-    return (4.0 * q - 2.0 * x) / norm
-
-
 def truncated_triangle_cdf(x, q: float):
     """CDF of the truncated triangle law at x (a float, or a numpy array
     evaluated elementwise) for the quantile parameter q > 1/2."""
@@ -141,7 +130,6 @@ class OracleContext(FrozenRecord):
 class GapValues(FrozenRecord):
     g_r: float
     g_l: float
-    clamped: bool = False
 
 
 def majority_context() -> OracleContext:
@@ -160,25 +148,18 @@ def veto_context(p: float) -> OracleContext:
 def gap_functions(ctx: OracleContext, delta: float) -> GapValues:
     """g_r(d) = p - f(tau - d) and g_l(d) = f(tau + d) - p.
 
-    Arguments falling outside f's domain are clamped to the boundary and
-    flagged (for veto the left boundary value is the q -> 1/2 limit).
+    Arguments falling outside f's domain are clamped to the boundary (for
+    veto the left boundary value is the q -> 1/2 limit).
     """
     if delta < 0.0:
         raise ValueError(f"gap distance must be non-negative, got {delta!r}")
     lo, hi = ctx.domain
-    clamped = False
     left_arg = ctx.tau - delta
     if left_arg <= lo:
-        clamped = left_arg < lo or ctx.f is f_veto
         g_r = ctx.p - 0.5 if ctx.f is f_veto else ctx.p - ctx.f(lo)
     else:
         g_r = ctx.p - ctx.f(left_arg)
-    right_arg = ctx.tau + delta
-    if right_arg > hi:
-        clamped = True
-        g_l = ctx.f(hi) - ctx.p
-    else:
-        g_l = ctx.f(right_arg) - ctx.p
+    g_l = ctx.f(min(ctx.tau + delta, hi)) - ctx.p
     # the fixed-point residual |f(tau) - p| <= 1e-12 can leave a negative
     # speck at delta ~ 0; the functions are non-negative by definition
-    return GapValues(max(0.0, g_r), max(0.0, g_l), clamped)
+    return GapValues(max(0.0, g_r), max(0.0, g_l))

@@ -119,6 +119,8 @@ class RuleSpec(FrozenRecord):
             raise ValueError(f"unknown rule kind {self.kind!r}")
         if self.kind == "veto" and (self.r is None or not 0.0 < self.r < 1.0):
             raise ValueError(f"veto rule needs r in (0, 1), got {self.r!r}")
+        if self.kind != "veto" and self.r is not None:
+            raise ValueError(f"{self.kind} rule takes no r, got {self.r!r}")
         p_of, tau_of, (c1, c2) = _RULES[self.kind][:3]
         p = p_of(self.r)
         object.__setattr__(self, "p", p)
@@ -137,12 +139,9 @@ def kernel(rule: RuleSpec):
 def block_kernel(rule: RuleSpec) -> tuple:
     """The rule's block decision, mapping (summary, y1, y2) over arrays of
     sorted pairs to each pair's admitted opinion (NaN: nobody joins), and
-    the chance that a step admits anyone at a fixed summary.  Consensus has
-    no such chance and raises ValueError."""
-    block, accept_prob = _RULES[rule.kind][4:6]
-    if accept_prob is None:
-        raise ValueError(f"no frozen-summary sampler for rule {rule.kind!r}")
-    return block, accept_prob
+    the chance that a step admits anyone at a fixed summary, which is None
+    for consensus."""
+    return _RULES[rule.kind][4:6]
 
 
 def block_decisions(rule: RuleSpec, lo, hi, a: np.ndarray,

@@ -92,11 +92,11 @@ def check_density_bounds(group: GroupState, widths: Sequence[float],
     # every window edge counted in one searchsorted: members below a, b
     below = group.count_lt(np.array([x for a, b, _ in windows
                                      for x in (a, b)])).tolist()
-    top = group.count_le(1.0)
     violations = []
     for (a, b, w), below_a, below_b in zip(windows, below[0::2],
                                            below[1::2]):
-        hi_edge, upto = (1.0, top) if b >= 1.0 else (b, below_b)
+        # every member lies in [0, 1]: the right edge closes on all of them
+        hi_edge, upto = (1.0, group.size) if b >= 1.0 else (b, below_b)
         if a > hi_edge:
             raise ValueError(f"empty interval: lo={a} > hi={hi_edge}")
         cnt = upto - below_a
@@ -117,10 +117,12 @@ def _frozen_step_values(rule: RuleSpec, summary: float, trials: int,
     summary at which no step admits anyone, or so few that the admissions
     wanted need more than _MAX_PAIRS pairs on average, raises ValueError,
     as does a summary outside [0, 1]."""
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    if type(trials) is not int or trials < 1:
+        raise ValueError(f"trials must be an int of at least 1, got {trials!r}")
     _check_unit(summary, "summary")
     decide, accept_prob = block_kernel(rule)
+    if accept_prob is None:
+        raise ValueError(f"no frozen-summary sampler for rule {rule.kind!r}")
     p_acc = accept_prob(summary)
     if not p_acc > 0.0:
         raise ValueError(f"no step admits anyone at summary {summary!r}")
@@ -149,6 +151,8 @@ def estimate_interval_accept_prob(rule: RuleSpec, frozen_summary: float,
     step admits into `interval` [lo, hi) (draws lie below 1), conditioned
     on acceptance where the rule can reject, with the summary held fixed."""
     lo, hi = interval
+    if not lo <= hi:  # NaN fails too
+        raise ValueError(f"not an interval: lo={lo}, hi={hi}")
     vals = _frozen_step_values(rule, frozen_summary, trials, rng)
     hits = np.count_nonzero((vals >= lo) & (vals < hi))
     est = hits / trials
@@ -274,8 +278,8 @@ def quantile_progress_test(rule: RuleSpec, ctx: OracleContext,
         raise ValueError("side must be 'right' or 'left'")
     if ctx.p != rule.p:
         raise ValueError(f"context p={ctx.p!r} is not the rule's p={rule.p!r}")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    if type(trials) is not int or trials < 1:
+        raise ValueError(f"trials must be an int of at least 1, got {trials!r}")
     if type(t) is not int or t < 1:
         raise ValueError(f"t must be an int of at least 1, got {t!r}")
     if not sigma > 0.0:

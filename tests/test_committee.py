@@ -39,6 +39,11 @@ def test_rejects_floats():
     c = Committee([0, 1, 2], ell=0)
     with pytest.raises(TypeError):
         c.vote_count(1, 0.5)
+    # bools are ints to Python, but no opinion
+    with pytest.raises(TypeError, match="opinion"):
+        Committee([True, False, 2], 0)
+    with pytest.raises(TypeError, match="candidate"):
+        c.vote_count(1, True)
 
 
 def test_threshold_formula():
@@ -48,6 +53,9 @@ def test_threshold_formula():
     assert Committee(list(range(4)), ell=1).threshold == 3  # even n: ceil(3/2)+1
     with pytest.raises(ValueError):
         Committee([0, 1, 2], ell=2)
+    for ell in (1.5, 1.0, True, "1"):  # 1.5 made the threshold 3.5
+        with pytest.raises(ValueError, match="^ell="):
+            Committee([1, 2, 3, 4, 5], ell=ell)
 
 
 def test_vote_count_examples():

@@ -112,7 +112,7 @@ def test_replay_determinism():
              log_admitted=True)
     assert t1.admitted == t2.admitted
     assert t1.checkpoints == t2.checkpoints
-    assert g1.values() == g2.values()
+    assert g1.members(1, g1.size) == g2.members(1, g2.size)
 
 
 def test_group_size_accounting():
@@ -410,7 +410,7 @@ def test_run_matches_step_loop(rule, initial, budget, seed):
                extra_quantiles=extra, **budget)
     ref_cks, ref_admitted, ref_raw = _step_loop(
         members, rule, Rng(seed), extra_quantiles=extra, **budget)
-    assert group.values() == members
+    assert group.members(1, group.size) == members
     assert traj.checkpoints == ref_cks
     assert traj.admitted == ref_admitted
     assert traj.raw_steps == ref_raw
@@ -445,7 +445,7 @@ def test_buffered_draws_match_per_call_draws(rule, initial, legs):
         assert traj.admitted == ref_admitted
         assert traj.raw_steps == ref_raw
         assert rng.state() == ref_rng.state()
-        assert group.values() == members
+        assert group.members(1, group.size) == members
     if "raw_budget" in legs[-1]:
         assert traj.raw_steps == legs[-1]["raw_budget"]
     else:
@@ -575,7 +575,7 @@ def test_block_driver_matches_per_call_reference(rule, shape, mode, legs,
         assert traj.checkpoints == ref_cks
         assert traj.raw_steps == ref_raw
         assert rng.state() == ref_rng.state()
-        assert group.values() == members
+        assert group.members(1, group.size) == members
         admitted += traj.accepted
     assert admitted > 0
 
@@ -595,7 +595,7 @@ def test_narrow_majority_pairs_are_walked():
                                     accepted_target=201)
     assert ref_admitted[0] == 2e-20
     assert traj.admitted == ref_admitted
-    assert group.values() == members
+    assert group.members(1, group.size) == members
 
 
 @pytest.mark.parametrize("rule, mode", [

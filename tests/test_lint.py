@@ -167,11 +167,13 @@ def test_group_insert_not_called_in_a_loop():
     assert not found, f"GroupState.insert reachable from a loop: {found}"
 
 
-def _names(path):
+def _names(path_or_node):
     """Every identifier, attribute, definition, argument and string
-    constant in one source file."""
+    constant in one source file, or under one syntax node."""
+    tree = path_or_node if isinstance(path_or_node, ast.AST) else \
+        ast.parse(path_or_node.read_text(), filename=path_or_node.name)
     names = set()
-    for node in ast.walk(ast.parse(path.read_text(), filename=path.name)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -183,6 +185,32 @@ def _names(path):
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             names.add(node.value)
     return names
+
+
+def test_every_public_definition_is_read_beyond_the_tests():
+    # a top-level public function or class of the package must be named
+    # outside its own definition: by a src module (the package's exports
+    # aside), by perfbench or by the acceptance suite.  One only the unit
+    # tests read is a test-only twin or dead code
+    readers = set().union(*map(_names, sorted(
+        (ROOT / "perfbench").glob("*.py"))),
+        _names(ROOT / "tests" / "test_acceptance.py"))
+    tops = {path.name: [(node, _names(node)) for node in ast.parse(
+        path.read_text(), filename=path.name).body]
+        for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+    unread = []
+    for module, nodes in tops.items():
+        elsewhere = readers.union(*(names for m, ns in tops.items()
+                                    if m != module for _, names in ns))
+        for node, _ in nodes:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or \
+                    node.name.startswith("_"):
+                continue
+            if node.name not in elsewhere.union(
+                    *(names for other, names in nodes if other is not node)):
+                unread.append(f"{module}:{node.lineno} {node.name}")
+    assert len(tops) > 10
+    assert not unread, f"public names only the unit tests read: {unread}"
 
 
 def test_group_holds_no_runs_finger_or_prefix_list():

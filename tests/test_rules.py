@@ -77,8 +77,11 @@ def test_rulespec_validation():
     assert RuleSpec("majority").p == 0.5
     assert RuleSpec("veto", r=0.25).p == 0.75
     assert RuleSpec("veto", r=0.25).c2 == 4.0
-    with pytest.raises(ValueError, match="consensus"):
-        block_kernel(RuleSpec("consensus"))  # not quantile-driven
+    for kind in ("majority", "consensus"):  # r belongs to veto alone
+        for r in (0.3, 0.0):
+            with pytest.raises(ValueError, match=kind):
+                RuleSpec(kind, r=r)
+    assert block_kernel(RuleSpec("consensus"))[1] is None  # no chance
 
 
 def _vote_left(member, y1, y2):

@@ -258,6 +258,15 @@ def test_interval_accept_prob_validation():
     with pytest.raises(ValueError, match="consensus"):
         estimate_interval_accept_prob(RuleSpec("consensus"), 0.5, (0, 1), 10,
                                       Rng(1))
+    # an inverted or NaN interval is no interval, and trials is a count
+    for interval in ((0.6, 0.2), (math.nan, 0.2), (0.2, math.nan)):
+        with pytest.raises(ValueError, match="not an interval"):
+            estimate_interval_accept_prob(RuleSpec("majority"), 0.5,
+                                          interval, 1000, Rng(1))
+    for trials in (1000.5, True, 10.0):
+        with pytest.raises(ValueError, match="^trials must"):
+            estimate_interval_accept_prob(RuleSpec("majority"), 0.5,
+                                          (0.0, 0.5), trials, Rng(1))
 
 
 def test_frozen_sampler_refuses_vanishing_acceptance():
@@ -314,7 +323,7 @@ def test_smoothness_validation():
         with pytest.raises(ValueError, match=repr(s)):
             smoothness_report(RuleSpec("majority"), [0.3, s], [0.5], 100,
                               Rng(13))
-    for trials in (0, -1):
+    for trials in (0, -1, True, 100.0):
         with pytest.raises(ValueError, match="trials"):
             smoothness_report(RuleSpec("majority"), [0.5], [0.1], trials,
                               Rng(13))
@@ -334,8 +343,9 @@ def test_progress_preconditions_rejected():
     # sigma >= gap
     with pytest.raises(ValueError):
         quantile_progress_test(rule, ctx, 0.1, 0.2, 100, 5, Rng(16))
-    with pytest.raises(ValueError, match="trials"):
-        quantile_progress_test(rule, ctx, 0.1, 0.002, 100, 0, Rng(20))
+    for trials in (0, True, 1.5, 5.0):
+        with pytest.raises(ValueError, match="^trials must"):
+            quantile_progress_test(rule, ctx, 0.1, 0.002, 100, trials, Rng(20))
     # t and sigma are checked before any group is built or run
     for t in (0, -2, True, 2.0, "5"):
         with pytest.raises(ValueError, match="^t must"):
