@@ -2,9 +2,10 @@
 
 Each construction emits a :class:`ReplacementSchedule` whose legality is
 re-verified by replaying it through the committee engine, never assumed.
-Candidates and profiles are exact rationals throughout; the geometric
-tightness construction works on a dyadic grid so that all vote comparisons
-stay integer-exact.
+Constructions emit exact rationals; replay runs on the committee scaled by
+the lcm of all its denominators, in ints, with the outputs of a rational
+replay.  The geometric tightness construction uses a dyadic grid so that
+all vote comparisons stay integer-exact.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .committee import Committee, drift_bound_check, shift_lemma_check
+from .committee import (Committee, _check_index, _check_rational,
+                        drift_bound_check, shift_lemma_check)
 from .records import Record
 from .rng import Rng
 
@@ -32,6 +34,11 @@ _VALUE_BITS = 24
 _EPOCH_CAP = 400
 _RESCALE_BITS = 24
 _SCALE_BUDGET_BITS = 512
+
+
+def _check_int(name: str, value, least: int, most=math.inf) -> None:
+    if type(value) is not int or not least <= value <= most:
+        raise ValueError(f"{name}={value!r} is not an int in {least}..{most}")
 
 
 @dataclass(repr=False, eq=False)
@@ -56,18 +63,27 @@ def replay(committee: Committee, schedule: ReplacementSchedule,
 
     `require_votes` additionally asserts a minimum exact vote count at
     every step (used by constructions that promise more support than the
-    bare threshold)."""
-    need = committee.threshold
-    if require_votes is not None:
-        need = max(need, require_votes)
-    counts = []
+    bare threshold).  Every step is checked before the first vote, by the
+    pass that takes L, the lcm of every denominator; votes and swaps run in
+    ints on `committee.scaled(L)`, and the result is divided back by L."""
+    need = max(committee.threshold, require_votes or 0)
+    dens = {v.denominator for v in committee.values}
+    for i, y in schedule.steps:
+        _check_index(i, committee.n)
+        dens.add(_check_rational(y, "candidate").denominator)
+    L = math.lcm(*dens)
+    c = committee.scaled(L)
+    counts, failed_at = [], None
     for idx, (i, y) in enumerate(schedule.steps):
-        votes = committee.vote_count(i, y)
+        y = y.numerator * (L // y.denominator)
+        votes = c.vote_count(i, y)
         counts.append(votes)
         if votes < need:
-            return ReplayResult(committee, False, idx, counts)
-        committee = committee._swap(i, y)
-    return ReplayResult(committee, True, None, counts)
+            failed_at = idx
+            break
+        c = c._swap(i, y)
+    return ReplayResult(c._unscaled(L) if L > 1 else c, failed_at is None,
+                        failed_at, counts)
 
 
 # ------------------------------------------------- unbounded drift (ell=0)
@@ -119,8 +135,8 @@ def solve_geometric_delta(k: int, ell: int) -> float:
     Bisection on 1 - 2(1-d)^(k-l+1) + (1-d)^(2k+1) = 0 over d in (0, 1);
     residual of the gap-sum equation at the root is at most 1e-12.
     """
-    if not 1 <= ell <= k:
-        raise ValueError(f"need 1 <= ell <= k, got ell={ell}, k={k}")
+    _check_int("k", k, 1)
+    _check_int("ell", ell, 1, k)
 
     def h(d: float) -> float:
         return 1.0 - 2.0 * (1.0 - d) ** (k - ell + 1) + (1.0 - d) ** (2 * k + 1)
@@ -240,8 +256,8 @@ def immunity_config(k: int, ell: int, d, D) -> Committee:
     max(d, D)*k/(2*ell-1) from both clusters, which keeps each cluster's
     internal drift bound away from the median.
     """
-    if not 1 <= ell <= k:
-        raise ValueError(f"need 1 <= ell <= k, got ell={ell}, k={k}")
+    _check_int("k", k, 1)
+    _check_int("ell", ell, 1, k)
     d = Fraction(d)
     D = Fraction(D)
     if d <= 0 or D <= 0:
@@ -347,6 +363,7 @@ def removal_run(k: int):
     """The removal construction at threshold 3k+2: the committee 1..4k+3
     with ell = k+1, its removal schedule, and that schedule replayed
     requiring 3k+2 votes.  Returns (committee, schedule, replay result)."""
+    _check_int("k", k, 1)
     committee = Committee(list(range(1, 4 * k + 4)), ell=k + 1)
     schedule = removal_schedule(committee)
     return committee, schedule, replay(committee, schedule,
@@ -502,6 +519,9 @@ def committee_fuzz(n: int, ell: int, accepted_target: int, rng: Rng,
     `_VALUE_BITS`-bit integers and at most `_EPOCH_CAP` accepted steps,
     until `accepted_target` accepted replacements have been checked.
     """
+    _check_int("n", n, 2)
+    _check_int("ell", ell, 0)
+    _check_int("accepted_target", accepted_target, 1)
     hull = 1 << _VALUE_BITS
     if n > hull:
         raise ValueError(f"n={n} exceeds the {hull} distinct profile values")

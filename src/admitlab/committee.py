@@ -25,6 +25,14 @@ def _check_rational(x, what: str):
     return x
 
 
+def _check_index(i, n: int) -> int:
+    if type(i) is not int:
+        raise TypeError(f"member index must be an int, got {type(i).__name__}")
+    if not 1 <= i <= n:
+        raise IndexError(f"member index {i} out of range 1..{n}")
+    return i
+
+
 def _double(v):
     return 2 * v
 
@@ -79,11 +87,14 @@ class Committee:
         return Committee._of(tuple(int(p) for p in products), self.ids,
                              self, self._next_id)
 
+    def _unscaled(self, div: int) -> "Committee":
+        """Every opinion over the positive int `div`, undoing `scaled`."""
+        return Committee._of(tuple(Fraction(v, div) for v in self.values),
+                             self.ids, self, self._next_id)
+
     def opinion(self, i: int):
         """Opinion of the i-th member in sorted order, 1-based."""
-        if not 1 <= i <= self.n:
-            raise IndexError(f"member index {i} out of range 1..{self.n}")
-        return self.values[i - 1]
+        return self.values[_check_index(i, self.n) - 1]
 
     def vote_count(self, i: int, y) -> int:
         """Members j != i with |x_j - y| <= |x_j - x_i| (weak preference).
@@ -102,10 +113,8 @@ class Committee:
         counts the members strictly on one side of x_i
         (`one_step_irreplaceable`, O(log n)).
         """
-        if not 1 <= i <= self.n:
-            raise IndexError(f"member index {i} out of range 1..{self.n}")
+        xi = self.values[_check_index(i, self.n) - 1]
         _check_rational(y, "candidate")
-        xi = self.values[i - 1]
         if y == xi:
             return self.n - 1
         s = xi + y

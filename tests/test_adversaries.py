@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import random
 from bisect import insort
 from fractions import Fraction
@@ -130,16 +131,22 @@ def test_tightness_grid_ratio_spread():
 
 def test_tightness_run_recounted_by_brute_force(monkeypatch):
     # every swap the run makes, recounted voter by voter with the rule as
-    # stated; the smallest nonzero margin over all steps must match
+    # stated; the smallest nonzero margin over all steps must match.  The
+    # replay swaps on the profile times the 2^96 grid scale, so the spy
+    # divides each value it sees back by that scale
     seen = []
     swap = Committee._swap
+    scale = 1 << 96
 
     def spy(self, i, y):
-        seen.append((self.values, i, y))
+        seen.append((tuple(Fraction(v, scale) for v in self.values), i,
+                     Fraction(y, scale)))
         return swap(self, i, y)
 
     monkeypatch.setattr(Committee, "_swap", spy)
     tr = geometric_tightness_run(4, 2)
+    assert math.lcm(*[Fraction(v).denominator for v in tr.initial.values]
+                    + [y.denominator for _, y in tr.schedule.steps]) == scale
     assert [(i, y) for _, i, y in seen] == tr.schedule.steps
     cur = list(seen[0][0])
     margins = []
@@ -371,6 +378,34 @@ def test_committee_fuzz_pinned(n, ell, consensus, seed):
                  rep.monotone_violations, rep.range_violations, rng.uniform()))
     assert hashlib.sha256(blob.encode()).hexdigest() == \
         _FUZZ_PINS[(n, ell, consensus, seed)]
+
+
+@pytest.mark.parametrize("name, args", [
+    ("n", (10.5, 2, 10)),
+    ("ell", (11, True, 10)),
+    ("accepted_target", (11, 2, 10.5)),
+])
+def test_committee_fuzz_rejects_non_int_arguments(name, args):
+    # each argument is checked before the first draw
+    rng = Rng(1)
+    before = rng.state()
+    with pytest.raises(ValueError, match=f"^{name}="):
+        committee_fuzz(*args, rng)
+    assert rng.state() == before
+
+
+@pytest.mark.parametrize("name, call", [
+    ("k", lambda: removal_run(True)),
+    ("k", lambda: solve_geometric_delta(2.0, 1)),
+    ("ell", lambda: solve_geometric_delta(2, 1.5)),
+    ("k", lambda: geometric_tightness_run(6.0, 1)),
+    ("ell", lambda: geometric_tightness_run(6, 1.5)),
+    ("k", lambda: immunity_config(2.0, 1, 1, 1)),
+    ("ell", lambda: immunity_config(2, True, 1, 1)),
+])
+def test_constructions_reject_non_int_k_and_ell(name, call):
+    with pytest.raises(ValueError, match=f"^{name}="):
+        call()
 
 
 def test_committee_fuzz_rejects_n_beyond_its_values():

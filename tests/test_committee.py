@@ -15,8 +15,11 @@ from admitlab.committee import (
     shift_lemma_check,
 )
 from admitlab.adversaries import (
+    ReplacementSchedule,
     _sample_int_replacement,
+    arithmetic_drift_schedule,
     committee_fuzz,
+    geometric_tightness_run,
     legal_intervals,
     one_step_irreplaceable,
     removal_schedule,
@@ -66,6 +69,11 @@ def test_vote_count_examples():
     assert c2.vote_count(2, Fraction(21, 2)) == 1
     with pytest.raises(IndexError):
         c.vote_count(4, 1)
+    # a bool is an int to Python, but no member index
+    with pytest.raises(TypeError, match="index"):
+        c.vote_count(True, 1)
+    with pytest.raises(TypeError, match="index"):
+        c.opinion(True)
 
 
 def test_replace_attempt_examples():
@@ -237,11 +245,14 @@ def test_vote_count_ties_and_duplicates_by_hand():
 
 
 def _brute_replay(committee: Committee, steps, need: int):
+    """Counts, the committee after the last accepted step, and the index of
+    the first step short of `need` votes (None when every step passes)."""
     counts = []
-    for i, y in steps:
+    for idx, (i, y) in enumerate(steps):
         votes = _brute_votes(committee, i, y)
         counts.append(votes)
-        assert votes >= need
+        if votes < need:
+            return counts, committee, idx
         vals = list(committee.values)
         ids = list(committee.ids)
         del vals[i - 1]
@@ -251,7 +262,7 @@ def _brute_replay(committee: Committee, steps, need: int):
         ids.insert(pos, committee._next_id)
         committee = Committee._of(tuple(vals), tuple(ids), committee,
                                   committee._next_id + 1)
-    return counts, committee
+    return counts, committee, None
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -261,10 +272,72 @@ def test_removal_replay_matches_brute_force_step_loop(k):
     sched = removal_schedule(initial)
     res = replay(initial, sched, require_votes=3 * k + 2)
     assert res.accepted_all
-    counts, final = _brute_replay(initial, sched.steps, 3 * k + 2)
+    counts, final, failed_at = _brute_replay(initial, sched.steps, 3 * k + 2)
+    assert failed_at is None
     assert res.vote_counts == counts
     assert res.committee.values == final.values
     assert res.committee.ids == final.ids
+
+
+def _mixed_denominator_case():
+    # denominators 3, 2, 5 and 7; the fourth step gets 2 of the 3 votes
+    # it needs, and the steps after it are never voted on
+    c = Committee([Fraction(1, 3), 1, Fraction(5, 2), 4, 7], ell=1)
+    steps = [(1, Fraction(2, 3)), (5, Fraction(13, 2)), (4, Fraction(19, 5)),
+             (3, Fraction(9, 7)), (1, Fraction(1, 11)), (2, 5)]
+    return c, ReplacementSchedule(steps, "mixed"), c.threshold, 3
+
+
+def _replay_cases():
+    for k in (1, 2):
+        c = Committee(list(range(1, 4 * k + 4)), ell=k + 1)
+        yield f"removal k={k}", c, removal_schedule(c), 3 * k + 2, None
+    drift = Committee(list(range(1, 8)), ell=0)
+    yield ("drift", drift, arithmetic_drift_schedule(drift, 10),
+           drift.threshold, None)
+    tr = geometric_tightness_run(6, 1)  # candidates on the 2^-96 grid
+    yield ("tightness k=6 ell=1", tr.initial, tr.schedule,
+           tr.initial.threshold, None)
+    yield ("mixed, failing", *_mixed_denominator_case())
+
+
+def test_integer_replay_matches_rational_brute_force_loop():
+    # replay votes and swaps in ints on the profile times the lcm of every
+    # denominator; the brute loop votes member by member in the rationals
+    for name, start, sched, need, want_failed in _replay_cases():
+        res = replay(start, sched, require_votes=need)
+        counts, final, failed_at = _brute_replay(start, sched.steps, need)
+        assert failed_at == want_failed, name
+        assert (res.accepted_all, res.failed_at) == \
+            (failed_at is None, failed_at), name
+        assert res.vote_counts == counts, name
+        assert res.committee.values == final.values, name
+        assert res.committee.ids == final.ids, name
+        assert res.committee._next_id == final._next_id, name
+        assert res.committee.to_json_profile() == final.to_json_profile(), \
+            name
+
+
+def test_replay_checks_every_step_before_voting():
+    c = Committee([0, 1, 2], ell=0)
+    # a bool is an int to Python, but no member index
+    for bad in (True, 1.0, "1", Fraction(1)):
+        with pytest.raises(TypeError, match="index"):
+            replay(c, ReplacementSchedule([(bad, 2)], ""))
+    for bad in (0, 4, -1):
+        with pytest.raises(IndexError):
+            replay(c, ReplacementSchedule([(bad, 2)], ""))
+    for bad in (0.5, True):
+        with pytest.raises(TypeError, match="candidate"):
+            replay(c, ReplacementSchedule([(1, bad)], ""))
+    # the first step fails its vote, and the malformed one after it still
+    # raises: no vote is taken before every step has been read
+    start = _mixed_denominator_case()[0]
+    fails = (3, Fraction(9, 7))
+    assert replay(start, ReplacementSchedule([fails], "")).failed_at == 0
+    for bad in ((0, 1), (True, 1), (1, 0.5)):
+        with pytest.raises((TypeError, IndexError)):
+            replay(start, ReplacementSchedule([fails, bad], ""))
 
 
 # sha256 of the schedule.json that `admitlab adversary` writes for the
