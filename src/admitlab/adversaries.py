@@ -105,7 +105,7 @@ def arithmetic_drift_schedule(initial: Committee,
     vals = list(initial.values)
     if len(set(vals)) != n:
         raise ValueError("construction requires all opinions distinct")
-    if target_displacement < 0:
+    if _check_rational(target_displacement, "target_displacement") < 0:
         raise ValueError("target displacement must be non-negative")
     k = (n - 1) // 2
     M = vals[k]
@@ -258,8 +258,8 @@ def immunity_config(k: int, ell: int, d, D) -> Committee:
     """
     _check_int("k", k, 1)
     _check_int("ell", ell, 1, k)
-    d = Fraction(d)
-    D = Fraction(D)
+    d = Fraction(_check_rational(d, "d"))
+    D = Fraction(_check_rational(D, "D"))
     if d <= 0 or D <= 0:
         raise ValueError("cluster widths must be positive")
     w = max(d, D)

@@ -23,18 +23,23 @@ after the block, the draws it used and whether the run ends there.
 
 * ``steps`` (default, every rule): each raw step sorts a candidate pair
   and the rule decides on its summary.  A step admits at most one member,
-  so a steps buffer is always used up and the budget never stops a block.
+  so the budget never stops a block, and a steps buffer is used up unless
+  the run is stuck: a block's start summary that no pair passes (veto at
+  q <= 0, consensus extremes (0, 1)) ends the run and hands the draws
+  back.
   A quantile rule's block admits at most B = 8 * isqrt(k) members, so its
   summary stays inside the window [L, H] = [select(r0 - B), select(r0 +
   B)] of the block's start group (cut at the group's ends, so a small
   group's window is all of it), over as many pairs as those admissions
   need at the start summary's acceptance rate.  `rules.block_decisions`
-  decides every pair at L and at H in numpy; Python walks, in step order,
-  only the pairs decided differently and the admissions landing inside
-  [L, H], reading the summary from the window as a sorted list, offset by
-  the admissions below L.  Consensus needs no window: its min only falls
-  and its max only rises, so a pair rejected at the block's start stays
-  rejected.
+  decides every pair at L and at H in numpy, and the block ends, before
+  any walk, at the first step where the sure admissions and the pairs
+  decided differently reach B, since only those can admit.  Python walks,
+  in step order, only the pairs decided differently and the admissions
+  landing inside [L, H], reading the summary from the window as a sorted
+  list, offset by the admissions below L.  Consensus needs no window: its
+  min only falls and its max only rises, so a pair rejected at the
+  block's start stays rejected.
 * ``jump`` (veto rules only): the number of consecutive rejected steps is
   sampled from the geometric law implied by the total acceptance
   probability `oracles.accept_any_veto`, and the admitted value from the
@@ -153,43 +158,46 @@ def _window(group: GroupState, p: float) -> tuple:
 def _quantile_block(group: GroupState, rule: RuleSpec, u: np.ndarray,
                     raw: int, budget) -> tuple:
     """Steps of a quantile-driven rule over the draws `u`, a pair each, in
-    order, until B members have joined or the block's pairs run out: as
-    many as those admissions need at the start summary's acceptance rate.
-    The buffer of `run` bounds the goal and the budget: no `budget` read."""
+    order: as many pairs as B admissions need at the start summary's
+    acceptance rate, cut before the walk at the first step where the sure
+    admissions and the undecided steps reach B, so fewer than B members
+    have joined before any walked step.  A summary that no pair passes
+    (veto at q <= 0) ends the run.  The buffer of `run` bounds the goal and
+    the budget: no `budget` read."""
     k0 = group.size
     num, den = rule.p.as_integer_ratio()
     decision = kernel(rule)
+    q = group.quantile(rule.p)
+    if decision(q, 0.0, 0.0) is None:  # (0, 0) has the lowest midpoint
+        return np.empty(0), (), raw, 0, True
     span, lo, window, lo_c, hi_c = _window(group, rule.p)
-    p_acc = block_kernel(rule)[1](group.quantile(rule.p))
+    p_acc = block_kernel(rule)[1](q)
     n = u.size // 2
     if p_acc * n > span:
         n = math.ceil(span / p_acc)
     a, b = sorted_pairs(u[:2 * n])
     ys, sure = block_decisions(rule, max(lo_c, 0.0), min(hi_c, 1.0), a, b)
     res = np.where(sure, ys, math.nan)  # the sure admissions; NaN elsewhere
+    # a step admits at most one member, and only a sure admission or an
+    # undecided step can: the block ends where those reach B
+    stop = min(n, int(np.cumsum(~sure | (res == res)).searchsorted(span)) + 1)
+    a, b, res, sure = a[:stop], b[:stop], res[:stop], sure[:stop]
     below = res < lo_c
-    outside = below | (res > hi_c)
     walk = np.flatnonzero(~sure | ((res >= lo_c) & (res <= hi_c)))
     # sure admissions outside the window join without being walked; their
     # counts before each walked step (none is one of them) give the group's
     # size, and those below the window shift its ranks
-    out_cum = np.cumsum(outside)
-    ev_out = out_cum[walk].tolist()
+    ev_out = np.cumsum(below | (res > hi_c))[walk].tolist()
     ev_below = np.cumsum(below)[walk].tolist()
     ev_y = res[walk].tolist()
     ev_a, ev_b = a[walk].tolist(), b[walk].tolist()
 
     joined = below_n = 0     # walked admissions, and those below the window
-    last, stop = -1, None
     out_i, out_y = [], []
     for i, y1, y2, y, n_out, n_below in zip(walk.tolist(), ev_a, ev_b, ev_y,
                                             ev_out, ev_below):
-        before = n_out + joined  # members joined in the block before step i
-        if before >= span:  # reached by an admission outside the window
-            break
-        last = i
         if y != y:  # NaN: not decided at both ends of the window
-            k = k0 + before
+            k = k0 + n_out + joined
             y = decision(window[-(-num * k // den) - lo - n_below - below_n],
                          y1, y2)
             if y is None:  # 0.0 is a legal opinion
@@ -203,13 +211,6 @@ def _quantile_block(group: GroupState, rule: RuleSpec, u: np.ndarray,
         else:
             insort(window, y)
         joined += 1
-        if before + 1 >= span:
-            stop = i + 1
-            break
-    if stop is None:  # did an admission outside the window reach B?
-        j = last + 1 + int(np.searchsorted(out_cum[last + 1:], span - joined))
-        stop = min(j + 1, n)
-    res = res[:stop]
     res[out_i] = out_y
     at = np.flatnonzero(res == res)
     return res[at], raw + 1 + at, raw + stop, 2 * stop, False
@@ -218,11 +219,14 @@ def _quantile_block(group: GroupState, rule: RuleSpec, u: np.ndarray,
 def _consensus_block(group: GroupState, rule: RuleSpec, u: np.ndarray,
                      raw: int, budget) -> tuple:
     """Consensus steps over the draws `u`, a pair each, in order, for at
-    most _CONSENSUS_PAIRS pairs.  The buffer of `run` bounds the goal and
-    the budget: no `budget` read."""
+    most _CONSENSUS_PAIRS pairs.  Extremes (0, 1), which no pair passes,
+    end the run.  The buffer of `run` bounds the goal and the budget: no
+    `budget` read."""
     decision = kernel(rule)
-    a, b = sorted_pairs(u[:2 * _CONSENSUS_PAIRS])
     extremes = (group.min(), group.max())
+    if extremes == (0.0, 1.0):  # no pair's midpoint is >= 1 or < 0
+        return np.empty(0), (), raw, 0, True
+    a, b = sorted_pairs(u[:2 * _CONSENSUS_PAIRS])
     ys = block_kernel(rule)[0](extremes, a, b)
     walk = np.flatnonzero(ys == ys)  # NaN: rejected at the start extremes
     out, at = [], []
@@ -295,13 +299,8 @@ def run(initial: GroupState, rule: RuleSpec, rng: Rng,
         raise ValueError("need an accepted target or a raw-step budget")
     for name, limit in (("accepted_target", accepted_target),
                         ("raw_budget", raw_budget)):
-        if limit is not None and (type(limit) is bool or
-                                  not isinstance(limit, int)):
-            raise ValueError(f"{name} must be an int, got {limit!r}")
-    if accepted_target is not None and accepted_target <= 0:
-        raise ValueError("accepted target must be positive")
-    if raw_budget is not None and raw_budget <= 0:
-        raise ValueError("raw-step budget must be positive")
+        if limit is not None and (type(limit) is not int or limit <= 0):
+            raise ValueError(f"{name} must be a positive int, got {limit!r}")
     if mode not in ("steps", "jump"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "jump" and rule.kind != "veto":

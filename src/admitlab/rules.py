@@ -146,15 +146,10 @@ def block_kernel(rule: RuleSpec) -> tuple:
 
 def block_decisions(rule: RuleSpec, lo, hi, a: np.ndarray,
                     b: np.ndarray) -> tuple:
-    """Each sorted pair's admitted opinion at summary `lo` (NaN: nobody
-    joins), and a mask of the pairs that every summary from `lo` to `hi`
-    decides the same way.
-
-    A quantile rule's summary is a member value and lo <= hi: a decision
-    monotone in it that agrees at both ends agrees in between.  Consensus
-    reads the (min, max) span and `hi` must contain `lo`: a wider span only
-    turns admissions into rejections.
-    """
+    """Each sorted pair's admitted opinion at the quantile rule's summary
+    `lo` (NaN: nobody joins), and a mask of the pairs that every summary
+    from `lo` to `hi` >= `lo` decides the same way: a decision monotone in
+    the summary that agrees at both ends agrees in between."""
     block, width = _RULES[rule.kind][4], _RULES[rule.kind][6]
     y, y_hi = block(lo, a, b), block(hi, a, b)
     sure = (y == y_hi) | ((y != y) & (y_hi != y_hi))  # NaN != NaN

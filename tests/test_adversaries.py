@@ -408,6 +408,27 @@ def test_constructions_reject_non_int_k_and_ell(name, call):
         call()
 
 
+_DRIFT_START = Committee(list(range(1, 8)), ell=0)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("d", lambda: immunity_config(1, 1, 0.1, 1)),
+    ("D", lambda: immunity_config(1, 1, 1, True)),
+    ("target_displacement",
+     lambda: arithmetic_drift_schedule(_DRIFT_START, float("nan"))),
+    ("target_displacement",
+     lambda: arithmetic_drift_schedule(_DRIFT_START, 0.3)),
+    ("target_displacement",
+     lambda: arithmetic_drift_schedule(_DRIFT_START, True)),
+])
+def test_constructions_reject_inexact_widths_and_targets(name, call):
+    # exact constructions take exact rationals only: a width of 0.1 built
+    # clusters from 3602879701896397/2^55, and a NaN target, neither below
+    # nor above 0, gave an empty schedule
+    with pytest.raises(TypeError, match=f"^{name} must be an exact rational"):
+        call()
+
+
 def test_committee_fuzz_rejects_n_beyond_its_values():
     # distinct values come from 2^24 integers: a larger profile never fills,
     # so the fuzz refuses it before it draws anything

@@ -497,6 +497,23 @@ def test_cli_main_grow_to_files(tmp_path):
     assert (tmp_path / "out" / "summary.json").exists()
 
 
+@pytest.mark.parametrize("rule, initial", [
+    ({"kind": "veto", "r": 0.25}, [0.0]), ("consensus", [0.0, 1.0])],
+    ids=["veto-q-zero", "consensus-full-span"])
+def test_cli_grow_stuck_run_ends_incomplete(rule, initial, tmp_path):
+    # no candidate pair can ever join these groups: the run ends at once,
+    # short of its target, instead of drawing forever
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "grow", "rule": rule,
+                               "initial": initial, "accepted": 1,
+                               "seed": 1}))
+    out = tmp_path / "out"
+    assert main(["grow", "--config", str(cfg), "--out", str(out)]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["verdicts"] == {"completed": False}
+    assert summary["summary"]["raw_steps"] == 0
+
+
 def test_cli_replay_round_trip(tmp_path):
     rec = run_experiment(_parse({"kind": "adversary", "construction": "drift",
                                  "n": 7, "target_displacement": 5}))

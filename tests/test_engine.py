@@ -164,7 +164,9 @@ def test_consensus_interval_invariant_on_every_accept():
 
 
 def test_budget_exhaustion_reported_not_raised():
-    g = GroupState([0.5, 0.5])  # zero-width consensus span rejects ~always
+    # every pair joins at extremes (0.5, 0.5), but 2,000 raw steps admit
+    # at most 2,000 of the million members wanted
+    g = GroupState([0.5, 0.5])
     traj = run(g, RuleSpec("consensus"), Rng(19), accepted_target=10 ** 6,
                raw_budget=2000)
     assert traj.exhausted
@@ -219,7 +221,7 @@ class _SpyRng(Rng):
 ], ids=["goal", "budget", "chained"])
 def test_steps_runs_never_hand_draws_back(rule, legs):
     # a step takes two draws and admits at most one member, so a steps
-    # buffer is always used up, whatever ends the run
+    # buffer is always used up, whatever ends a run that is not stuck
     rng, ref = _SpyRng(3), Rng(3)
     group = GroupState(_start("middle", 300, 3))
     for leg in legs:
@@ -358,7 +360,8 @@ def _step_loop(members, rule, rng, accepted_target=None, raw_budget=None,
     GroupState: two `rng.uniform()` calls per raw step, the group as the
     plain sorted list `members` (grown in place), every summary read from
     it afresh at rank max(1, ceil(p * k)), and the rule's decision called
-    directly."""
+    directly.  A summary that no pair passes (veto at q <= 0, consensus
+    extremes (0, 1)) ends the run before its next draw."""
     goal = None if accepted_target is None else len(members) + accepted_target
     checkpoints, admitted, raw = [], [], 0
     decide = _DECIDE[rule.kind]
@@ -377,10 +380,14 @@ def _step_loop(members, rule, rng, accepted_target=None, raw_budget=None,
     next_ck = _next_checkpoint(len(members))
     while (goal is None or len(members) < goal) and \
             (raw_budget is None or raw < raw_budget):
-        u1, u2 = rng.uniform(), rng.uniform()
-        raw += 1
         summary = (members[0], members[-1]) if rule.p is None \
             else quantile(rule.p)
+        stuck = summary == (0.0, 1.0) if rule.p is None \
+            else decide(summary, 0.0, 0.0) is None
+        if stuck:
+            break
+        u1, u2 = rng.uniform(), rng.uniform()
+        raw += 1
         y = decide(summary, min(u1, u2), max(u1, u2))
         if y is not None:
             insort(members, y)
@@ -578,6 +585,57 @@ def test_block_driver_matches_per_call_reference(rule, shape, mode, legs,
         assert group.members(1, group.size) == members
         admitted += traj.accepted
     assert admitted > 0
+
+
+@pytest.mark.parametrize("rule, initial", [
+    (RuleSpec("veto", r=0.25), [0.0]),
+    (RuleSpec("veto", r=0.25), [0.0] * 2000 + [1.0] * 500),
+    (RuleSpec("consensus"), [0.0, 1.0]),
+], ids=["veto-from-zero", "veto-q-zero", "consensus-full-span"])
+def test_stuck_steps_runs_end_at_once(rule, initial):
+    # no pair can join: no midpoint is below q_p = 0, and none is >= 1 or
+    # < 0; each leg ends where it is stuck, as the per-call loop does, and
+    # hands its draws back
+    group, members = GroupState(initial), sorted(initial)
+    rng, ref_rng = Rng(6), Rng(6)
+    for leg in ({"accepted_target": 1}, {"raw_budget": 500},
+                {"accepted_target": 10, "raw_budget": 10 ** 6}):
+        traj = run(group, rule, rng, log_admitted=True, **leg)
+        ref_cks, ref_admitted, ref_raw = _step_loop(members, rule, ref_rng,
+                                                    **leg)
+        assert traj.checkpoints == ref_cks
+        assert traj.admitted == ref_admitted == []
+        assert traj.raw_steps == ref_raw == 0
+        assert traj.exhausted == ("accepted_target" in leg)
+        assert rng.state() == ref_rng.state() == Rng(6).state()
+
+
+def test_quantile_block_ends_where_possible_admissions_reach_b():
+    # veto r = 0.5 from 2,500 spread members: B = 400, and the window's top
+    # H is the member of rank 1250 + 400.  A pair whose midpoint is below
+    # the window joins for sure, one from H on is rejected for sure, and
+    # the walk decides the rest, some of them rejected.  Only a pair below
+    # H can admit, so the block ends at the first step where those reach
+    # B, and admits there what the per-call loop admits
+    from admitlab.engine import _quantile_block
+
+    rule = RuleSpec("veto", r=0.5)
+    initial = _start("spread", 2500, 2)
+    members = sorted(initial)
+    span, top = 8 * math.isqrt(2500), members[1250 + 400 - 1]
+    u = Rng(7).uniform_block(4000)
+    possible = np.cumsum((u[0::2] + u[1::2]) * 0.5 < top)
+    stop = int(np.searchsorted(possible, span)) + 1
+    new, raws, raw, used, done = _quantile_block(GroupState(initial), rule, u,
+                                                 10, math.inf)
+    _, ref_admitted, _ = _step_loop(members, rule,
+                                    StubRng(u[:2 * stop].tolist()),
+                                    raw_budget=stop)
+    assert stop < u.size // 4  # well inside the pairs the block reads
+    assert (raw, used, done) == (10 + stop, 2 * stop, False)
+    assert new.tolist() == ref_admitted
+    assert len(ref_admitted) < span
+    assert raws[-1] <= raw
 
 
 def test_narrow_majority_pairs_are_walked():

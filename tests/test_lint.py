@@ -247,6 +247,15 @@ def test_group_holds_no_runs_finger_or_prefix_list():
         reads = {node.id for node in ast.walk(defs[block])
                  if isinstance(node, ast.Name)}
         assert "budget" not in reads, block
+    # a quantile block fixes its last step before it walks: one search,
+    # ahead of the walk loop, and no break inside it
+    walk, = [node for node in ast.walk(defs["_quantile_block"])
+             if isinstance(node, ast.For)]
+    assert not any(isinstance(node, ast.Break) for node in ast.walk(walk))
+    searches = [node.lineno for node in ast.walk(defs["_quantile_block"])
+                if isinstance(node, ast.Attribute)
+                and node.attr == "searchsorted"]
+    assert len(searches) == 1 and searches[0] < walk.lineno
 
 
 def test_engine_draws_only_in_blocks():

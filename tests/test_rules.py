@@ -207,7 +207,7 @@ def test_block_decisions_sure_for_every_summary_between(rule):
                                                        1e-20) if x + d < 1.0]
         pairs = [(min(a, b), max(a, b)) for a, b in raw]
         a, b = (np.array(col) for col in zip(*pairs))
-        if rule.p is None:  # consensus: spans that hold the start span
+        if rule.p is None:  # consensus (no engine caller): wider spans
             ends = ((lo, hi), (0.0, 1.0))
             spans = [(lo - (lo - 0.0) * t, hi + (1.0 - hi) * t)
                      for t in (0.0, 0.25, 0.5, 1.0)]
