@@ -2,10 +2,11 @@
 
 Each construction emits a :class:`ReplacementSchedule` whose legality is
 re-verified by replaying it through the committee engine, never assumed.
-Constructions emit exact rationals; replay runs on the committee scaled by
-the lcm of all its denominators, in ints, with the outputs of a rational
-replay.  The geometric tightness construction uses a dyadic grid so that
-all vote comparisons stay integer-exact.
+Constructions emit exact rationals (a removal stage computes in ints over
+one denominator).  Replay checks every step once, then runs on the
+committee scaled by the lcm of all its denominators, in ints, with the
+outputs of a rational replay.  The geometric tightness construction uses
+a dyadic grid so that all vote comparisons stay integer-exact.
 """
 
 from __future__ import annotations
@@ -63,9 +64,9 @@ def replay(committee: Committee, schedule: ReplacementSchedule,
 
     `require_votes` additionally asserts a minimum exact vote count at
     every step (used by constructions that promise more support than the
-    bare threshold).  Every step is checked before the first vote, by the
-    pass that takes L, the lcm of every denominator; votes and swaps run in
-    ints on `committee.scaled(L)`, and the result is divided back by L."""
+    bare threshold).  Every step is checked once, by the pass that takes L,
+    the lcm of every denominator; votes and swaps then run unchecked in ints
+    on `committee.scaled(L)`, and the result is divided back by L."""
     need = max(committee.threshold, require_votes or 0)
     dens = {v.denominator for v in committee.values}
     for i, y in schedule.steps:
@@ -76,7 +77,7 @@ def replay(committee: Committee, schedule: ReplacementSchedule,
     counts, failed_at = [], None
     for idx, (i, y) in enumerate(schedule.steps):
         y = y.numerator * (L // y.denominator)
-        votes = c.vote_count(i, y)
+        votes = c._votes(c.values[i - 1], y)
         counts.append(votes)
         if votes < need:
             failed_at = idx
@@ -314,6 +315,8 @@ def _removal_stages(points, n_stages: int):
     only its top j points stay below points[j] and stage j+1 again reads
     its two points off `points`.  The step must shrink below the previous
     one over j, or the compression would move points away from the voters.
+    A stage counts in ints over D, the lcm of c's and its step's
+    denominators: each candidate is one Fraction built from its numerator.
     """
     out, delta = [], None
     for j in range(1, n_stages + 1):
@@ -324,8 +327,12 @@ def _removal_stages(points, n_stages: int):
             parts = max(parts, (gap * j * delta.denominator)
                         // delta.numerator + 1)
         delta = Fraction(gap, parts)
-        out += [c - m * delta for m in range(1, j)]      # compress below c
-        out += [c + m * delta for m in range(1, parts)]  # march up the gap
+        D = math.lcm(c.denominator, delta.denominator)
+        cn = c.numerator * (D // c.denominator)
+        dn = delta.numerator * (D // delta.denominator)
+        # compress below c, then march up the gap
+        out += [Fraction(cn - m * dn, D) for m in range(1, j)]
+        out += [Fraction(cn + m * dn, D) for m in range(1, parts)]
     return out, delta
 
 

@@ -113,8 +113,11 @@ class Committee:
         counts the members strictly on one side of x_i
         (`one_step_irreplaceable`, O(log n)).
         """
-        xi = self.values[_check_index(i, self.n) - 1]
-        _check_rational(y, "candidate")
+        return self._votes(self.values[_check_index(i, self.n) - 1],
+                           _check_rational(y, "candidate"))
+
+    def _votes(self, xi, y) -> int:
+        """`vote_count` against the opinion xi, for a checked candidate."""
         if y == xi:
             return self.n - 1
         s = xi + y

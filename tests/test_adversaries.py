@@ -332,6 +332,11 @@ _IRREGULAR_PROFILES = [
     [Fraction(-3, 11), Fraction(-1, 5), Fraction(1, 10), Fraction(1, 3),
      Fraction(7, 5), Fraction(29, 6), 5, Fraction(51, 8), 9,
      Fraction(100, 7), 15],
+    # neighbours over one of the coprime denominators 7, 13 and 19 with a
+    # whole gap: stages 1 and 3 and the first mirrored stage count on the
+    # lcm of c's denominator and their step's (21, 260, 57), not on either
+    [Fraction(-13, 7), Fraction(-6, 7), Fraction(3, 13), Fraction(16, 13),
+     Fraction(35, 17), Fraction(58, 19), Fraction(96, 19)],
 ]
 
 

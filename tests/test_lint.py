@@ -267,3 +267,20 @@ def test_engine_draws_only_in_blocks():
              and node.attr in ("uniform", "next_u64")]
     assert "uniform_block" in _names(SRC / "engine.py")
     assert not found, f"per-call draws in the engine: {found}"
+
+
+def test_no_fraction_internals():
+    # Fraction's `_normalize` keyword (gone in Python 3.12) and its
+    # `_numerator`/`_denominator` slots are CPython internals; src builds
+    # every Fraction through the public constructor and reads the public
+    # `numerator`/`denominator`, under every Python the package allows
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.keyword)
+                  and node.arg == "_normalize"
+                  or isinstance(node, ast.Attribute)
+                  and node.attr in ("_numerator", "_denominator")]
+    assert "Fraction" in _names(SRC / "adversaries.py")
+    assert not found, f"Fraction internals in src: {found}"
