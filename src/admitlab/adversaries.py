@@ -3,10 +3,10 @@
 Each construction emits a :class:`ReplacementSchedule` whose legality is
 re-verified by replaying it through the committee engine, never assumed.
 Constructions emit exact rationals (a removal stage computes in ints over
-one denominator).  Replay checks every step once, then runs on the
-committee scaled by the lcm of all its denominators, in ints, with the
-outputs of a rational replay.  The geometric tightness construction uses
-a dyadic grid so that all vote comparisons stay integer-exact.
+one denominator).  Replay checks every step in one pass, then runs the
+committee's vote-and-place loop in ints, scaled by the lcm of all its
+denominators, with the outputs of a rational replay.  The geometric
+tightness construction uses a dyadic grid: its votes stay integer-exact.
 """
 
 from __future__ import annotations
@@ -64,25 +64,22 @@ def replay(committee: Committee, schedule: ReplacementSchedule,
 
     `require_votes` additionally asserts a minimum exact vote count at
     every step (used by constructions that promise more support than the
-    bare threshold).  Every step is checked once, by the pass that takes L,
-    the lcm of every denominator; votes and swaps then run unchecked in ints
-    on `committee.scaled(L)`, and the result is divided back by L."""
+    bare threshold).  One pass checks every step and takes L, the lcm of
+    every denominator; `Committee`'s vote-and-place loop then runs on
+    `committee.scaled(L)`, reading each step times L once, and the result
+    is divided back by L."""
+    if require_votes is not None:
+        _check_int("require_votes", require_votes, 0)
     need = max(committee.threshold, require_votes or 0)
     dens = {v.denominator for v in committee.values}
     for i, y in schedule.steps:
         _check_index(i, committee.n)
         dens.add(_check_rational(y, "candidate").denominator)
     L = math.lcm(*dens)
-    c = committee.scaled(L)
-    counts, failed_at = [], None
-    for idx, (i, y) in enumerate(schedule.steps):
-        y = y.numerator * (L // y.denominator)
-        votes = c._votes(c.values[i - 1], y)
-        counts.append(votes)
-        if votes < need:
-            failed_at = idx
-            break
-        c = c._swap(i, y)
+    c, counts = committee.scaled(L)._run(
+        ((i, y.numerator * (L // y.denominator)) for i, y in schedule.steps),
+        need)
+    failed_at = len(counts) - 1 if counts and counts[-1] < need else None
     return ReplayResult(c._unscaled(L) if L > 1 else c, failed_at is None,
                         failed_at, counts)
 

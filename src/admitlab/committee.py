@@ -37,6 +37,16 @@ def _double(v):
     return 2 * v
 
 
+def _votes(vals, xi, y) -> int:
+    """`Committee.vote_count` against xi in the sorted `vals`, y checked."""
+    if y == xi:
+        return len(vals) - 1
+    s = xi + y
+    if y > xi:
+        return len(vals) - bisect_left(vals, s, key=_double)
+    return bisect_right(vals, s, key=_double)
+
+
 class Committee:
     """Sorted fixed-size profile of exact opinions with member identities."""
 
@@ -113,17 +123,8 @@ class Committee:
         counts the members strictly on one side of x_i
         (`one_step_irreplaceable`, O(log n)).
         """
-        return self._votes(self.values[_check_index(i, self.n) - 1],
-                           _check_rational(y, "candidate"))
-
-    def _votes(self, xi, y) -> int:
-        """`vote_count` against the opinion xi, for a checked candidate."""
-        if y == xi:
-            return self.n - 1
-        s = xi + y
-        if y > xi:
-            return self.n - bisect_left(self.values, s, key=_double)
-        return bisect_right(self.values, s, key=_double)
+        return _votes(self.values, self.values[_check_index(i, self.n) - 1],
+                      _check_rational(y, "candidate"))
 
     def replace_attempt(self, i: int, y) -> tuple[bool, "Committee"]:
         """Swap member i for candidate y if the vote meets the threshold.
@@ -132,20 +133,29 @@ class Committee:
         vote fails, and a re-sorted profile with a fresh member id when it
         succeeds.
         """
-        if self.vote_count(i, y) < self.threshold:
-            return False, self
-        return True, self._swap(i, y)
+        c, (votes,) = self._run([(_check_index(i, self.n),
+                                  _check_rational(y, "candidate"))],
+                                self.threshold)
+        return (True, c) if votes >= self.threshold else (False, self)
 
-    def _swap(self, i: int, y) -> "Committee":
-        """Member i replaced by y under a fresh id; the caller took the vote."""
-        vals = list(self.values)
-        ids = list(self.ids)
-        del vals[i - 1]
-        del ids[i - 1]
-        pos = bisect_right(vals, y)
-        vals.insert(pos, y)
-        ids.insert(pos, self._next_id)
-        return Committee._of(tuple(vals), tuple(ids), self, self._next_id + 1)
+    def _run(self, steps, need: int) -> tuple["Committee", list]:
+        """Take the checked steps (i, y) in order, reading each once: count
+        its votes, stop at the first count below `need`, else put y in
+        member i's place under a fresh id.  Returns the committee after the
+        last accepted step and every count taken."""
+        vals, ids = list(self.values), list(self.ids)
+        next_id, counts = self._next_id, []
+        for i, y in steps:
+            votes = _votes(vals, vals[i - 1], y)
+            counts.append(votes)
+            if votes < need:
+                break
+            del vals[i - 1], ids[i - 1]
+            pos = bisect_right(vals, y)
+            vals.insert(pos, y)
+            ids.insert(pos, next_id)
+            next_id += 1
+        return Committee._of(tuple(vals), tuple(ids), self, next_id), counts
 
     def median(self):
         if self.n % 2 == 0:
@@ -172,11 +182,7 @@ class Committee:
         return self.values[0] + self.values[-2] - self.values[-1]
 
     def to_json_profile(self) -> list[str]:
-        out = []
-        for v in self.values:
-            f = Fraction(v)
-            out.append(f"{f.numerator}/{f.denominator}")
-        return out
+        return [f"{v.numerator}/{v.denominator}" for v in self.values]
 
     def __repr__(self):
         vals = ", ".join(str(v) for v in self.values[:6])
@@ -223,6 +229,8 @@ def drift_bound_check(initial: Committee, current: Committee) -> tuple[bool, obj
     n = initial.n
     if n != current.n or n % 2 == 0:
         raise ValueError("check needs two odd same-size configurations")
+    if initial.ell != current.ell:
+        raise ValueError("configurations disagree on ell")
     if initial.ell < 1:
         raise ValueError("drift bound only applies for ell >= 1")
     k = (n - 1) // 2

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -118,8 +118,6 @@ class OracleContext(FrozenRecord):
     tau: float
     f: Callable[[float], float]
     domain: tuple   # closed domain of f, as (lo, hi); lo is open for veto
-    phi1: Optional[float] = None
-    phi2: Optional[float] = None
 
     def __post_init__(self):
         if abs(self.f(self.tau) - self.p) > 1e-12:
@@ -138,11 +136,7 @@ def majority_context() -> OracleContext:
 
 def veto_context(p: float) -> OracleContext:
     """Context for a veto rule with driving quantile p = 1 - r > 1/2."""
-    phi1 = phi1_bound(p)
-    # the symmetric constant: f'(tau) exceeds phi1 on both sides, so the
-    # same margin certifies the right-hand linear gap (grid-checked in tests)
-    return OracleContext(p=p, tau=tau(p), f=f_veto, domain=(0.5, 1.0),
-                         phi1=phi1, phi2=phi1)
+    return OracleContext(p=p, tau=tau(p), f=f_veto, domain=(0.5, 1.0))
 
 
 def gap_functions(ctx: OracleContext, delta: float) -> GapValues:

@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import pytest
 
+from admitlab import adversaries
+from admitlab import committee as committee_module
 from admitlab.adversaries import (
     FuzzReport,
     _sample_int_replacement,
@@ -130,20 +132,21 @@ def test_tightness_grid_ratio_spread():
 
 
 def test_tightness_run_recounted_by_brute_force(monkeypatch):
-    # every swap the run makes, recounted voter by voter with the rule as
+    # every vote the run takes, recounted voter by voter with the rule as
     # stated; the smallest nonzero margin over all steps must match.  The
-    # replay swaps on the profile times the 2^96 grid scale, so the spy
-    # divides each value it sees back by that scale
+    # replay votes on the profile times the 2^96 grid scale, so the spy
+    # divides each value it sees back by that scale; the profile's values
+    # are distinct, so the incumbent's value gives its position
     seen = []
-    swap = Committee._swap
+    votes = committee_module._votes
     scale = 1 << 96
 
-    def spy(self, i, y):
-        seen.append((tuple(Fraction(v, scale) for v in self.values), i,
-                     Fraction(y, scale)))
-        return swap(self, i, y)
+    def spy(vals, xi, y):
+        seen.append((tuple(Fraction(v, scale) for v in vals),
+                     vals.index(xi) + 1, Fraction(y, scale)))
+        return votes(vals, xi, y)
 
-    monkeypatch.setattr(Committee, "_swap", spy)
+    monkeypatch.setattr(committee_module, "_votes", spy)
     tr = geometric_tightness_run(4, 2)
     assert math.lcm(*[Fraction(v).denominator for v in tr.initial.values]
                     + [y.denominator for _, y in tr.schedule.steps]) == scale
@@ -274,12 +277,25 @@ def test_removal_schedule_k2():
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_removal_run(k):
+def test_removal_run(k, monkeypatch):
     # the committee 1..4k+3 at threshold 3k+2, its schedule, and the replay
-    # requiring 3k+2 votes, which removes every original id
+    # requiring 3k+2 votes, which removes every original id.  The schedule
+    # must be the object removal_schedule built for c: its steps are pinned
+    # by the schedule.json sha256 test and checked against
+    # _simulated_removal_steps, so the spy spares a second k = 3 build
+    calls = []
+
+    def spy(committee):
+        calls.append((committee, removal_schedule(committee)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(adversaries, "removal_schedule", spy)
     c, sched, res = removal_run(k)
     assert c.values == tuple(range(1, 4 * k + 4)) and c.threshold == 3 * k + 2
-    assert sched.steps == removal_schedule(c).steps
+    (seen, built), = calls
+    assert (seen.values, seen.ids, seen.ell, seen.threshold) == \
+        (c.values, c.ids, c.ell, c.threshold)
+    assert sched is built
     assert res.accepted_all and len(res.vote_counts) == len(sched.steps)
     assert min(res.vote_counts) >= 3 * k + 2
     assert not set(c.ids) & set(res.committee.ids)

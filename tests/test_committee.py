@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from admitlab import committee as committee_module
 from admitlab.committee import (
     Committee,
     drift_bound_check,
@@ -162,6 +163,10 @@ def test_drift_bound_initial_state():
     assert rs == 12 - 2
     with pytest.raises(ValueError):
         drift_bound_check(Committee([0, 1, 2], ell=0), Committee([0, 1, 2], ell=0))
+    # two rules are two bounds: as in shift_lemma_check, no mixed pair
+    with pytest.raises(ValueError, match="disagree on ell"):
+        drift_bound_check(Committee(range(1, 12), ell=1),
+                          Committee(range(1, 12), ell=4))
 
 
 def test_vote_count_brute_force_agreement():
@@ -338,6 +343,19 @@ def test_replay_checks_every_step_before_voting():
     for bad in ((0, 1), (True, 1), (1, 0.5)):
         with pytest.raises((TypeError, IndexError)):
             replay(start, ReplacementSchedule([fails, bad], ""))
+
+
+@pytest.mark.parametrize("need", [True, -3, 2.5])
+def test_replay_rejects_non_int_require_votes(need, monkeypatch):
+    # a bool would count as one vote, a negative count would pass silently
+    # and a fraction would fail the step; each is refused before any vote
+    def no_vote(*args):
+        raise AssertionError("voted before require_votes was checked")
+
+    monkeypatch.setattr(committee_module, "_votes", no_vote)
+    c = Committee([0, 1, 2], ell=0)
+    with pytest.raises(ValueError, match="require_votes"):
+        replay(c, ReplacementSchedule([(1, 1)], ""), require_votes=need)
 
 
 # sha256 of the schedule.json that `admitlab adversary` writes for the

@@ -41,6 +41,23 @@ def test_committee_layout_private_to_committee_module():
             found += hits
     assert inside > 0
     assert not found, f"Committee layout used outside committee.py: {found}"
+    # one vote-and-place loop: the vote is committee.py's module-level
+    # `_votes`, no other module votes or swaps members itself, and replay's
+    # one `for` is the pass that checks its steps
+    tree = ast.parse((SRC / "committee.py").read_text())
+    defs = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+            and node.name in ("_votes", "_swap")]
+    assert [(d.name, d in tree.body) for d in defs] == [("_votes", True)]
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "committee.py":
+            names = _names(path) & {"_votes", "_swap"}
+            assert not names, f"{path.name} names {sorted(names)}"
+    replay, = [node for node in ast.walk(ast.parse(
+        (SRC / "adversaries.py").read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == "replay"]
+    loop, = [node for node in ast.walk(replay)
+             if isinstance(node, (ast.For, ast.While))]
+    assert "_check_index" in _names(loop)
 
 
 def test_every_export_resolves():

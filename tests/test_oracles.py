@@ -256,11 +256,12 @@ def test_phi1_linear_gap_inequality_grid():
 
 
 def test_phi2_linear_gap_inequality_grid():
-    # the symmetric constant certifies the other side on its range
+    # the symmetric constant: f'(tau) exceeds phi1 on both sides, so the
+    # same margin certifies the right-hand linear gap on its range
     for p in (0.6, 0.75, 0.9):
-        ctx = veto_context(p)
-        for d in np.linspace(1e-9, 1 - ctx.tau - 1e-12, 500):
-            assert f_veto(ctx.tau + d) >= p + ctx.phi2 * d - 1e-12
+        t = tau(p)
+        for d in np.linspace(1e-9, 1 - t - 1e-12, 500):
+            assert f_veto(t + d) >= p + phi1_bound(p) * d - 1e-12
 
 
 # ----------------------------------------------------------- monotonicity
@@ -278,4 +279,4 @@ def test_oracle_context_validation():
     with pytest.raises(ValueError):
         OracleContext(p=0.5, tau=0.4, f=f_majority, domain=(0.0, 1.0))
     ctx = veto_context(0.75)
-    assert ctx.phi1 is not None and ctx.phi1 > 0
+    assert (ctx.p, ctx.tau, ctx.f) == (0.75, tau(0.75), f_veto)
