@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from contextlib import closing
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -420,7 +421,23 @@ class FuzzReport(Record):
         return self.violations == 0
 
 
-def _sample_int_replacement(committee: Committee, rng: Rng):
+def _uniforms(rng: Rng):
+    """`rng`'s uniforms, read from `uniform_block` buffers of 4,096 draws,
+    doubling to 32,768.  Closing hands the unread draws back: `rng` ends
+    where as many `rng.uniform()` calls leave it."""
+    size = 4096
+    try:
+        while True:
+            back = rng.state()
+            for used, u in enumerate(rng.uniform_block(size).tolist(), 1):
+                yield u
+            size = min(2 * size, 32768)
+    finally:  # only a close ends the stream
+        rng.set_state(back)
+        rng.uniform_block(used)
+
+
+def _sample_int_replacement(committee: Committee, draw):
     """A uniform integer candidate from a member's legal interval, or None.
 
     Half the picks go to the two extreme positions: under large ell the
@@ -428,7 +445,7 @@ def _sample_int_replacement(committee: Committee, rng: Rng):
     drift and potential dynamics live.
     """
     n = committee.n
-    u = rng.uniform()
+    u = draw()
     if u < 0.5:
         i = 1 if u < 0.25 else n
     else:
@@ -438,7 +455,7 @@ def _sample_int_replacement(committee: Committee, rng: Rng):
     if b < a:
         return None
     total = b - a + 1
-    y = a + int(rng.uniform() * total) % total
+    y = a + int(draw() * total) % total
     # candidates colliding with any member value are skipped: exact
     # re-election displaces nothing, and duplicate opinions would freeze a
     # zero-width cluster that no rescaling can reopen
@@ -461,8 +478,15 @@ def fuzz_epoch(start: Committee, accepted_target: int, rng: Rng,
     bound against the epoch's start and the potential-drop lemma whenever
     the median moved (ell >= 1, odd n); or, with `consensus_checks`, the
     exact admitted-value range and both monotone quantities.  Returns the
-    final committee.
+    final committee; `rng` ends where per-call uniform() draws leave it.
     """
+    with closing(_uniforms(rng)) as draws:
+        return _fuzz_epoch(start, accepted_target, draws.__next__, report,
+                           consensus_checks)
+
+
+def _fuzz_epoch(start, accepted_target, draw, report, consensus_checks):
+    """`fuzz_epoch` on the uniforms that `draw()` returns."""
     initial = start.scaled(math.lcm(*[v.denominator for v in start.values]))
     n = initial.n
     k = (n - 1) // 2
@@ -473,7 +497,7 @@ def fuzz_epoch(start: Committee, accepted_target: int, rng: Rng,
     misses = 0
     scale_bits = 0
     while report.accepted < stop:
-        pick = _sample_int_replacement(cur, rng)
+        pick = _sample_int_replacement(cur, draw)
         if pick is None:
             misses += 1
             if misses >= 4 * n:
@@ -530,11 +554,12 @@ def committee_fuzz(n: int, ell: int, accepted_target: int, rng: Rng,
     if n > hull:
         raise ValueError(f"n={n} exceeds the {hull} distinct profile values")
     report = FuzzReport(0, 0, 0)
-    while report.accepted < accepted_target:
-        vals: set = set()
-        while len(vals) < n:
-            vals.add(int(rng.uniform() * hull))
-        fuzz_epoch(Committee(sorted(vals), ell=ell),
-                   min(_EPOCH_CAP, accepted_target - report.accepted),
-                   rng, report, consensus_checks)
+    with closing(_uniforms(rng)) as draws:
+        while report.accepted < accepted_target:
+            vals: set = set()
+            while len(vals) < n:
+                vals.add(int(next(draws) * hull))
+            _fuzz_epoch(Committee(sorted(vals), ell=ell),
+                        min(_EPOCH_CAP, accepted_target - report.accepted),
+                        draws.__next__, report, consensus_checks)
     return report

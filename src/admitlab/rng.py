@@ -24,8 +24,9 @@ All arithmetic is mod 2^64.  A uniform variate on [0, 1) is the top 53 bits
 of the output times 2^-53, which is exactly representable in an IEEE double.
 
 Bulk draws (:meth:`Rng.uniform_block`) give the same stream as repeated
-uniform() calls.  From _TABLE_MIN draws on, numpy steps blocks of _BLOCK
-draws side by side, each block starting _BLOCK steps past the previous one.
+uniform() calls.  From _TABLE_MIN (1,152) draws on, numpy steps blocks of
+_BLOCK (128) draws side by side, each block starting _BLOCK steps past the
+previous one; the block length only decides how the one stream is cut.
 The update is linear over GF(2), so that jump maps a state to the XOR of
 the images of its set bits.  The 256 one-bit images (8 KB) are built once
 per import, on first use; each call derives its lookup rows from them and
@@ -45,14 +46,15 @@ import numpy as np
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _INV53 = 2.0 ** -53
-_BLOCK = 256  # draws per block when uniform_block steps blocks side by side
+_BLOCK = 128  # draws per block when uniform_block steps blocks side by side
 # below this many draws, the fixed cost of stepping the blocks side by side
-# (about 3 ms: 256 rows of numpy calls, and the call's jump rows) outweighs
-# the 1.5 us that a next_u64() call costs per draw
-_TABLE_MIN = 2048
-# from this many blocks on, building 256-entry jump rows (about 1 ms, against
-# 0.4 ms for 16-entry ones) pays for the one lookup per state byte, not two
-_BYTE_ROWS_MIN = 128
+# (about 0.9 ms: 128 rows of numpy calls, and the call's jump rows) outweighs
+# the 0.85 us per next_u64() draw; they cross near 1,100 (2-core Xeon)
+_TABLE_MIN = 1152
+# from this many blocks on, building 256-entry jump rows (0.85 ms, against
+# 0.33 ms for 16-entry ones) pays for one lookup per state byte, not two;
+# they cross near 190 blocks (24,000 draws) on the same box
+_BYTE_ROWS_MIN = 192
 _SHIFT, _ROT, _UNROT = np.uint64(17), np.uint64(45), np.uint64(19)
 
 

@@ -239,23 +239,21 @@ class ProgressResult(Record):
 def _progress_start_group(q_target: float, sigma: float, t: int, p: float,
                           rng: Rng) -> GroupState:
     """Group with its p-quantile at q_target and t members in each
-    sigma-neighborhood, built from one uniform block: `a` members well
-    below and the rest above, sized so that rank ceil(p * k) is q_target
-    (a = t of k = 4t + 1 at p = 1/2)."""
+    sigma-neighborhood, built in numpy from one uniform block: `a` members
+    well below and the rest in (q_target + sigma, 1 - 1e-9], sized so that
+    rank ceil(p * k) is q_target (a = t of k = 4t + 1 at p = 1/2)."""
     num, den = p.as_integer_ratio()
     if not 0 < num < den:
         raise ValueError(f"no start group puts the {p!r}-quantile inside")
     k = max(4 * t + 1, t * den // num + 1, -(-t * den // (den - num)))
     a = -(-num * k // den) - t - 1
-    u = rng.uniform_block(k - 1).tolist()
+    u = rng.uniform_block(k - 1)
     lo_end = max(q_target - sigma, 0.0)
-    hi_end = min(q_target + sigma, 1.0)
-    return GroupState(
-        [x * lo_end * 0.98 for x in u[:a]]
-        + [lo_end + x * (q_target - lo_end) for x in u[a:a + t]]
-        + [q_target + x * (hi_end - q_target) for x in u[a + t:a + 2 * t]]
-        + [hi_end + 1e-9 + x * (1.0 - hi_end - 2e-9) for x in u[a + 2 * t:]]
-        + [q_target])
+    hi_end = q_target + sigma
+    return GroupState(np.concatenate((
+        u[:a] * lo_end * 0.98, lo_end + u[a:a + t] * (q_target - lo_end),
+        q_target + u[a + t:a + 2 * t] * (hi_end - q_target),
+        hi_end + 1e-9 + u[a + 2 * t:] * (1.0 - hi_end - 2e-9), [q_target])))
 
 
 def quantile_progress_test(rule: RuleSpec, ctx: OracleContext,
@@ -301,6 +299,10 @@ def quantile_progress_test(rule: RuleSpec, ctx: OracleContext,
             f"hypothesis g(gap)/2 > c2*sigma fails: {g_val / 2} <= {rule.c2 * sigma}")
 
     q_start = ctx.tau - start_gap if side == "right" else ctx.tau + start_gap
+    if not 0.0 <= q_start <= 1.0 - 2e-9 - sigma:
+        raise ValueError(
+            f"start_gap={start_gap!r} and sigma={sigma!r} put the start "
+            f"window [{q_start - sigma!r}, {q_start + sigma!r}] past [0, 1]")
     required = g_val / 4.0 * t
     details = []
     passes = 0

@@ -5,6 +5,7 @@ import json
 import math
 import random
 from bisect import insort
+from contextlib import closing
 from fractions import Fraction
 
 import pytest
@@ -401,6 +402,33 @@ def test_committee_fuzz_pinned(n, ell, consensus, seed):
         _FUZZ_PINS[(n, ell, consensus, seed)]
 
 
+def test_committee_fuzz_draws_from_blocks(monkeypatch):
+    # the fuzz reads its 6,547 uniforms from uniform_block buffers: only
+    # sub-lane tails and the hand-back of the unread draws step one call at
+    # a time, against 6,547 per-call draws
+    calls = []
+    step = Rng.next_u64
+
+    def counted(self):
+        calls.append(1)
+        return step(self)
+
+    monkeypatch.setattr(Rng, "next_u64", counted)
+    committee_fuzz(11, 2, 2000, Rng(11))
+    assert len(calls) <= 300
+
+
+@pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 4096 + 8192 + 5])
+def test_uniforms_hand_back_the_unread_draws(n):
+    # closed after n reads, the buffered stream leaves the generator where
+    # n uniform() calls do, also on a buffer's last draw
+    rng, ref = Rng(8), Rng(8)
+    with closing(adversaries._uniforms(rng)) as draws:
+        got = [next(draws) for _ in range(n)]
+    assert got == [ref.uniform() for _ in range(n)]
+    assert rng.state() == ref.state()
+
+
 @pytest.mark.parametrize("name, args", [
     ("n", (10.5, 2, 10)),
     ("ell", (11, True, 10)),
@@ -509,7 +537,7 @@ def test_sample_respects_member_pool():
     pools = {i: legal_intervals(c, i) for i in (1, 2, 3)}
     assert pools == {1: [(0, 16)], 2: [(8, 8)], 3: [(-48, 64)]}
     rng = Rng(1)
-    picks = [_sample_int_replacement(c, rng) for _ in range(50)]
+    picks = [_sample_int_replacement(c, rng.uniform) for _ in range(50)]
     assert sum(p is not None for p in picks) >= 25
     for pick in picks:
         if pick is not None:

@@ -440,7 +440,7 @@ def test_sampled_replacements_always_accepted():
     c = Committee(sorted(random.Random(5).sample(range(1 << 40), 11)), ell=2)
     accepted = 0
     for _ in range(300):
-        pick = _sample_int_replacement(c, rng)
+        pick = _sample_int_replacement(c, rng.uniform)
         if pick is None:
             continue
         i, y = pick

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from admitlab.engine import _CHUNK_PAIRS, Checkpoint, _next_checkpoint, run
 from admitlab.group import GroupState
@@ -515,13 +517,25 @@ def _jump_loop(members, rule, rng, accepted_target=None, raw_budget=None,
 
 
 def _start(shape, n, seed):
-    """A start group of n members large enough for windowed blocks."""
+    """A start group of n members of the given shape, from the uniforms of
+    Rng(seed)."""
     u = Rng(seed).uniform_block(n).tolist()
-    if shape == "spread":
-        return u
     if shape == "middle":  # consensus: a narrow span admits now and then
         return [0.45 + 0.1 * x for x in u]
-    return [x * 2.0 ** -30 if x < 0.97 else x for x in u]  # collapsed
+    if shape == "collapsed":
+        return [x * 2.0 ** -30 if x < 0.97 else x for x in u]
+    if shape == "duplicates":  # five values, each held by many members
+        return [round(x * 4) / 4 for x in u]
+    if shape == "grid":
+        return [math.floor(x * 64) / 64 for x in u]
+    if shape == "two-point":
+        lo, hi = sorted(((seed % 5) / 4, (seed // 5 % 5) / 4))
+        return [lo if x < 0.5 else hi for x in u]
+    if shape == "narrow":
+        return [0.5 + x * 2.0 ** -20 for x in u]
+    if shape == "squeezed":  # all of it within 2^-20 .. 2^-60 of 0
+        return [x * 2.0 ** -(20 + seed % 41) for x in u]
+    return u  # spread
 
 
 @pytest.mark.parametrize("rule, shape, mode, legs", [
@@ -585,6 +599,55 @@ def test_block_driver_matches_per_call_reference(rule, shape, mode, legs,
         assert group.members(1, group.size) == members
         admitted += traj.accepted
     assert admitted > 0
+
+
+@st.composite
+def _differential_cases(draw):
+    rule = draw(st.sampled_from([
+        RuleSpec("majority"), RuleSpec("consensus"), RuleSpec("veto", r=0.25),
+        RuleSpec("veto", r=0.5), RuleSpec("veto", r=0.75),
+        RuleSpec("veto", r=0.99)]))
+    mode = draw(st.sampled_from(("steps", "jump") if rule.kind == "veto"
+                                else ("steps",)))
+    initial = _start(draw(st.sampled_from((
+        "spread", "middle", "collapsed", "duplicates", "grid", "two-point",
+        "narrow", "squeezed"))), draw(st.integers(1, 6000)),
+        draw(st.integers(0, 2 ** 32)))
+    legs = []
+    for _ in range(draw(st.integers(1, 3))):
+        target = draw(st.none() | st.integers(1, 2000))
+        if mode == "steps":  # a steps run of tiny acceptance needs a budget
+            budget = draw(st.integers(1, 4000))
+        elif target is None:
+            budget = draw(st.integers(1, 3000))
+        else:
+            budget = draw(st.none() | st.integers(1, 10 ** 6))
+        legs.append({"accepted_target": target, "raw_budget": budget})
+    return rule, mode, initial, legs, draw(st.integers(0, 2 ** 64 - 1))
+
+
+@settings(max_examples=300)
+@given(_differential_cases())
+def test_block_driver_matches_per_call_reference_on_random_cases(case):
+    # every rule and mode from every `_start` shape (duplicate-heavy,
+    # two-point and collapsed among them) of 1 to 6,000 members, 1 to 3 legs
+    # chained on one Rng: the admissions, checkpoints, raw counts, the group
+    # and the stream's state all equal the per-call loops'
+    rule, mode, initial, legs, seed = case
+    extra = (0.1, 0.5, 0.97)
+    group, members = GroupState(initial), sorted(initial)
+    rng, ref_rng = Rng(seed), Rng(seed)
+    reference = _step_loop if mode == "steps" else _jump_loop
+    for leg in legs:
+        traj = run(group, rule, rng, log_admitted=True, extra_quantiles=extra,
+                   mode=mode, **leg)
+        ref_cks, ref_admitted, ref_raw = reference(
+            members, rule, ref_rng, extra_quantiles=extra, **leg)
+        assert traj.admitted == ref_admitted
+        assert traj.checkpoints == ref_cks
+        assert traj.raw_steps == ref_raw
+        assert rng.state() == ref_rng.state()
+        assert group.members(1, group.size) == members
 
 
 @pytest.mark.parametrize("rule, initial", [

@@ -75,12 +75,16 @@ def test_set_state_rejects_states_outside_the_domain(state):
 
 @pytest.mark.parametrize("n", [
     0, 1, rng_mod._TABLE_MIN - 1, rng_mod._TABLE_MIN, rng_mod._TABLE_MIN + 1,
-    rng_mod._TABLE_MIN + rng_mod._BLOCK - 1, 8191, 8192, 8193, 8192 + 255,
-    20000, rng_mod._BYTE_ROWS_MIN * rng_mod._BLOCK + 7])
+    rng_mod._TABLE_MIN + rng_mod._BLOCK - 1, rng_mod._TABLE_MIN + rng_mod._BLOCK,
+    2047, 2048, 2049, 2303, 8191, 8192, 8193, 8447, 20000,
+    rng_mod._BYTE_ROWS_MIN * rng_mod._BLOCK - 1,
+    rng_mod._BYTE_ROWS_MIN * rng_mod._BLOCK,
+    rng_mod._BYTE_ROWS_MIN * rng_mod._BLOCK + 7, 32775, 65536])
 def test_block_lengths_match_steps_and_state(n):
     # from _TABLE_MIN draws on, whole _BLOCK-draw blocks start from jumps
     # (16-entry rows, or 256-entry ones from _BYTE_ROWS_MIN blocks on) and
-    # the tail is stepped
+    # the tail is stepped; 2049, 2303 and 32775 sat on the boundaries of
+    # 256-draw blocks, and 65,536 is the engine's largest call
     for seed in (3, 2 ** 64 - 1):
         a = Rng(seed)
         b = Rng(seed)

@@ -355,6 +355,27 @@ def test_progress_preconditions_rejected():
             quantile_progress_test(rule, ctx, 0.1, sigma, 100, 5, Rng(22))
 
 
+def test_progress_start_window_must_fit_in_the_unit_interval(monkeypatch):
+    # a lower neighborhood cut at 0 still builds its group
+    res = quantile_progress_test(RuleSpec("majority"), majority_context(),
+                                 0.499, 0.002, 200, 2, Rng(1))
+    assert res.trials == 2
+    # majority gap 0.499 on the left and veto r=0.25 (tau = 0.845) gap 0.36
+    # on the left put the window past 1, and majority gap 0.6 on the right
+    # puts q_start below 0: refused before any start group is drawn
+    monkeypatch.setattr(stats, "_progress_start_group",
+                        lambda *args: pytest.fail("a start group was drawn"))
+    for rule, gap, side in ((RuleSpec("majority"), 0.499, "left"),
+                            (RuleSpec("veto", r=0.25), 0.36, "left"),
+                            (RuleSpec("majority"), 0.6, "right")):
+        ctx = majority_context() if rule.kind == "majority" else \
+            veto_context(rule.p)
+        with pytest.raises(ValueError, match=rf"^start_gap={gap} and "
+                           r"sigma=0\.002 put the start window"):
+            quantile_progress_test(rule, ctx, gap, 0.002, 200, 2, Rng(1),
+                                   side=side)
+
+
 def test_progress_context_must_describe_the_rule():
     # a veto context aims majority start groups at the veto tau
     with pytest.raises(ValueError, match="context"):
@@ -396,6 +417,33 @@ def test_progress_start_group_places_the_driving_quantile():
         res = quantile_progress_test(rule, ctx, 0.1, 0.002, 500, 4, Rng(23),
                                      side=side)
         assert res.trials == len(res.details) == 4
+
+
+# sha256 of repr((pass_fraction, details)) of quantile_progress_test(rule,
+# its context, 0.1, 0.002, 500, 4, Rng(seed), side), recorded before the
+# start group was built in numpy and uniform_block stepped 128-draw lanes
+_PROGRESS_PINS = {
+    ("majority", "right", 31):
+    "b1595fd107226bfcb27d4a64b2bd0759f64ef662704b289b3e8a514911f716b6",
+    ("majority", "left", 32):
+    "a849a9b95b7dd7876c40db4c79758f9a0eba2e5eb4671abc9c4c801d0162a823",
+    ("veto", "right", 33):
+    "ef68291d534f555b0a0a32ceccc5d6a2eea8173841d61765382cff8eeb945696",
+    ("veto", "left", 34):
+    "d8baf8a9afcbed428fe1521c6ea4292c14be982bcf0fa2080de1d06d47e1b21e",
+}
+
+
+@pytest.mark.parametrize("kind, side, seed", sorted(_PROGRESS_PINS))
+def test_progress_experiment_pinned(kind, side, seed):
+    # veto r=0.25 drives the 3/4-quantile (den = 4), majority the median
+    rule = RuleSpec(kind, r=0.25 if kind == "veto" else None)
+    ctx = majority_context() if kind == "majority" else veto_context(rule.p)
+    res = quantile_progress_test(rule, ctx, 0.1, 0.002, 500, 4, Rng(seed),
+                                 side=side)
+    blob = repr((res.pass_fraction, res.details))
+    assert hashlib.sha256(blob.encode()).hexdigest() == \
+        _PROGRESS_PINS[(kind, side, seed)]
 
 
 def test_progress_smoke_right_and_left():
