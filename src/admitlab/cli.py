@@ -36,7 +36,7 @@ from .experiments import CRITERIA
 from .group import GroupState
 from .records import Record
 from .rng import Rng
-from .rules import _RULES, RuleSpec
+from .rules import KINDS, RuleSpec
 
 class ConfigError(ValueError):
     """Schema violation, tagged with the offending key path."""
@@ -214,7 +214,7 @@ def _parse_rule(node) -> RuleSpec:
     if not isinstance(node, dict):
         raise ConfigError("rule", "must be an object or rule name")
     kind = node.get("kind")
-    if not isinstance(kind, str) or kind not in _RULES:
+    if not isinstance(kind, str) or kind not in KINDS:
         raise ConfigError("rule.kind", f"unknown rule kind {kind!r}")
     allowed = {"kind", "r"} if kind == "veto" else {"kind"}
     unknown = sorted(node.keys() - allowed)

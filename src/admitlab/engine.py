@@ -22,24 +22,26 @@ and returns its admissions in step order, the raw count after each and
 after the block, the draws it used and whether the run ends there.
 
 * ``steps`` (default, every rule): each raw step sorts a candidate pair
-  and the rule decides on its summary.  A step admits at most one member,
-  so the budget never stops a block, and a steps buffer is used up unless
-  the run is stuck: a block's start summary that no pair passes (veto at
-  q <= 0, consensus extremes (0, 1)) ends the run and hands the draws
-  back.
+  and decides it on the exact pair sum against the thresholds of the
+  rule's summary.  A step admits at most one member, so the budget never
+  stops a block, and a steps buffer is used up unless the run is stuck: a
+  block's start summary that no pair passes (left >= 1 and right <= 0:
+  veto at q <= 0, consensus extremes (0, 1)) ends the run and hands the
+  draws back.
   A quantile rule's block admits at most B = 8 * isqrt(k) members, so its
   summary stays inside the window [L, H] = [select(r0 - B), select(r0 +
   B)] of the block's start group (cut at the group's ends, so a small
   group's window is all of it), over as many pairs as those admissions
   need at the start summary's acceptance rate.  `rules.block_decisions`
-  decides every pair at L and at H in numpy, and the block ends, before
-  any walk, at the first step where the sure admissions and the pairs
-  decided differently reach B, since only those can admit.  Python walks,
-  in step order, only the pairs decided differently and the admissions
-  landing inside [L, H], reading the summary from the window as a sorted
-  list, offset by the admissions below L.  Consensus needs no window: its
-  min only falls and its max only rises, so a pair rejected at the
-  block's start stays rejected.
+  decides every pair at L and at H in numpy, and a pair decided alike at
+  both is sure, since the exact decision is monotone in the summary.  The
+  block ends, before any walk, at the first step where the sure
+  admissions and the pairs decided differently reach B, since only those
+  can admit.  Python walks, in step order, only the pairs decided
+  differently and the admissions landing inside [L, H], reading the
+  summary from the window as a sorted list, offset by the admissions
+  below L.  Consensus needs no window: its min only falls and its max
+  only rises, so a pair rejected at the block's start stays rejected.
 * ``jump`` (veto rules only): the number of consecutive rejected steps is
   sampled from the geometric law implied by the total acceptance
   probability `oracles.accept_any_veto`, and the admitted value from the
@@ -61,10 +63,9 @@ from typing import Optional
 import numpy as np
 
 from .group import GroupState, quantile_rank
-from .oracles import accept_any_veto
 from .records import Record
 from .rng import Rng
-from .rules import RuleSpec, block_decisions, block_kernel, kernel
+from .rules import RuleSpec, admit, admit_block, block_decisions, kernel
 
 _CHUNK_PAIRS = 32768  # most pairs (steps or members) `run` draws at once
 _CONSENSUS_PAIRS = 4096  # a consensus block's pairs; bounds the lists it walks
@@ -136,6 +137,11 @@ def sorted_pairs(u: np.ndarray) -> tuple:
     return np.minimum(u[0::2], u[1::2]), np.maximum(u[0::2], u[1::2])
 
 
+def _stuck(left: float, right: float) -> bool:
+    """Whether no pair of draws, in [0, 1), passes the thresholds."""
+    return left >= 1.0 and right <= 0.0
+
+
 def _window(group: GroupState, p: float) -> tuple:
     """The block's span B and its rank window [r0 - B, r0 + B] around the
     p-quantile, cut at the group's ends.
@@ -166,12 +172,12 @@ def _quantile_block(group: GroupState, rule: RuleSpec, u: np.ndarray,
     the budget: no `budget` read."""
     k0 = group.size
     num, den = rule.p.as_integer_ratio()
-    decision = kernel(rule)
+    bounds, accept_prob = kernel(rule)
     q = group.quantile(rule.p)
-    if decision(q, 0.0, 0.0) is None:  # (0, 0) has the lowest midpoint
+    if _stuck(*bounds(q)):
         return np.empty(0), (), raw, 0, True
     span, lo, window, lo_c, hi_c = _window(group, rule.p)
-    p_acc = block_kernel(rule)[1](q)
+    p_acc = accept_prob(q)
     n = u.size // 2
     if p_acc * n > span:
         n = math.ceil(span / p_acc)
@@ -198,8 +204,9 @@ def _quantile_block(group: GroupState, rule: RuleSpec, u: np.ndarray,
                                             ev_out, ev_below):
         if y != y:  # NaN: not decided at both ends of the window
             k = k0 + n_out + joined
-            y = decision(window[-(-num * k // den) - lo - n_below - below_n],
-                         y1, y2)
+            left, right = bounds(window[-(-num * k // den) - lo - n_below
+                                        - below_n])
+            y = admit(left, right, y1, y2)
             if y is None:  # 0.0 is a legal opinion
                 continue
             out_i.append(i)
@@ -222,21 +229,23 @@ def _consensus_block(group: GroupState, rule: RuleSpec, u: np.ndarray,
     most _CONSENSUS_PAIRS pairs.  Extremes (0, 1), which no pair passes,
     end the run.  The buffer of `run` bounds the goal and the budget: no
     `budget` read."""
-    decision = kernel(rule)
-    extremes = (group.min(), group.max())
-    if extremes == (0.0, 1.0):  # no pair's midpoint is >= 1 or < 0
+    bounds = kernel(rule)[0]
+    lo, hi = group.min(), group.max()
+    left, right = bounds((lo, hi))
+    if _stuck(left, right):
         return np.empty(0), (), raw, 0, True
     a, b = sorted_pairs(u[:2 * _CONSENSUS_PAIRS])
-    ys = block_kernel(rule)[0](extremes, a, b)
+    ys = admit_block(left, right, a, b)
     walk = np.flatnonzero(ys == ys)  # NaN: rejected at the start extremes
     out, at = [], []
     for i, y1, y2 in zip(walk.tolist(), a[walk].tolist(), b[walk].tolist()):
-        y = decision(extremes, y1, y2)
+        y = admit(left, right, y1, y2)
         if y is None:
             continue
         out.append(y)
         at.append(i)
-        extremes = (min(extremes[0], y), max(extremes[1], y))
+        lo, hi = min(lo, y), max(hi, y)
+        left, right = bounds((lo, hi))
     return (np.array(out, dtype=np.float64), raw + 1 + np.array(at, dtype=int),
             raw + a.size, 2 * a.size, False)
 
@@ -248,6 +257,7 @@ def _jump_block(group: GroupState, rule: RuleSpec, u: np.ndarray, raw: int,
     here when the budget is spent or the process is stuck."""
     k0 = group.size
     num, den = rule.p.as_integer_ratio()
+    accept_prob = kernel(rule)[1]
     span, lo, window, lo_c, hi_c = _window(group, rule.p)
     n = min(span, u.size // 2)
     out, raws = [], []
@@ -256,10 +266,10 @@ def _jump_block(group: GroupState, rule: RuleSpec, u: np.ndarray, raw: int,
     for k, u1, u2 in zip(range(k0, k0 + n), u[0:2 * n:2].tolist(),
                          u[1:2 * n:2].tolist()):
         q = window[-(-num * k // den) - lo - below]
-        if raw >= budget or q <= 0.0:  # q = 0: stuck, report exhaustion
+        if raw >= budget or q <= 0.0:  # (inf, q) passes no pair: stuck
             used, done = 2 * (k - k0), True
             break
-        p_acc = accept_any_veto(q)
+        p_acc = accept_prob(q)
         if p_acc < 1.0:
             # rejections, then the acceptance itself
             skipped = _rejections(q, p_acc, u1)

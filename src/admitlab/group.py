@@ -71,14 +71,12 @@ class GroupState:
         return c if isinstance(c, np.ndarray) else int(c)
 
     def count_interval(self, lo: float, hi: float, bounds: str = "closed") -> int:
-        """Members in [lo, hi] (closed) or [lo, hi) (half_open)."""
+        """Members in [lo, hi]; "closed" is the one `bounds` convention."""
         if not lo <= hi:  # NaN fails too
             raise ValueError(f"not an interval: lo={lo}, hi={hi}")
-        if bounds == "closed":
-            return self.count_le(hi) - self.count_lt(lo)
-        if bounds == "half_open":
-            return self.count_lt(hi) - self.count_lt(lo)
-        raise ValueError(f"unknown bounds convention {bounds!r}")
+        if bounds != "closed":
+            raise ValueError(f"unknown bounds convention {bounds!r}")
+        return self.count_le(hi) - self.count_lt(lo)
 
     def quantile(self, p: float) -> float:
         """Smallest member q with at least p*k members at or below it and at

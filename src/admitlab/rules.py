@@ -1,16 +1,17 @@
 """Admission rules: pure decisions from a group summary and a candidate pair.
 
 Each rule looks only at the summary it is allowed to see (median for
-majority, extremes for consensus, the (1-r)-quantile for veto).  A decision
-returns the opinion it admits, or None when nobody joins; the row of each
-rule holds its decision in scalar form and in block form, over numpy arrays
-of sorted pairs, where NaN marks a pair that admits nobody.  Exact ties
-always resolve toward the left (smaller) candidate so replays are
-deterministic.
+majority, extremes for consensus, the (1-r)-quantile for veto) and reads
+from it two thresholds on the pair sum: (m, m) for majority, (inf, q) for
+veto, (x_k, x_1) for consensus.  One exact decision serves every rule,
+`admit` in scalar form and `admit_block` over numpy arrays of sorted pairs,
+where NaN marks a pair that admits nobody.  Exact ties always resolve
+toward the left (smaller) candidate so replays are deterministic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -35,64 +36,63 @@ class CandidatePair(FrozenRecord):
             object.__setattr__(self, "y2", b)
 
 
-def majority_decide(median: float, y1: float, y2: float) -> float:
-    """Admit the candidate closer to the median; exact tie admits the left."""
-    if abs(median - y1) <= abs(median - y2):
+def admit(left: float, right: float, y1: float, y2: float) -> Optional[float]:
+    """The candidate the thresholds (left, right), left >= right, admit from
+    the sorted pair y1 <= y2 in [0, 1], on the exact sum: y1 iff y1 + y2 >=
+    2*left, y2 iff y1 + y2 < 2*right, else None.  Rounding is monotone and
+    2*s is a float, so t = fl(y1 + y2) off 2*s is on the exact sum's side;
+    at t == 2*s the side is the sign of the exact error y1 - (t - y2)."""
+    t = y1 + y2
+    two_s = 2.0 * left
+    if t > two_s or t == two_s and y1 >= t - y2:
         return y1
-    return y2
-
-
-def consensus_decide(extremes: tuple, y1: float, y2: float) -> Optional[float]:
-    """Admit only on a unanimous vote (ties vote left).
-
-    `extremes` is the (min, max) member pair.  All members vote left
-    exactly when every member is at or below the candidate midpoint, and
-    right exactly when every member is strictly above it.
-    """
-    min_member, max_member = extremes
-    mid = 0.5 * (y1 + y2)
-    if mid >= max_member:
-        return y1
-    if mid < min_member:
+    two_s = 2.0 * right
+    if t < two_s or t == two_s and y1 < t - y2:
         return y2
     return None
 
 
-def veto_decide(q_threshold: float, y1: float, y2: float) -> Optional[float]:
-    """Right candidate joins iff the pair midpoint is strictly below the
-    (1-r)-quantile; the left candidate can never join."""
-    if 0.5 * (y1 + y2) < q_threshold:
-        return y2
-    return None
+def _sum_below(a: np.ndarray, b: np.ndarray, *twice: float) -> list:
+    """Masks of the sorted pairs whose exact sum a + b is below each of
+    `twice`: t = fl(a + b) decides, and `admit`'s error step where t ties."""
+    t = a + b
+    masks = []
+    for two_s in twice:
+        below = t < two_s
+        tie = (t == two_s).nonzero()[0]
+        if tie.size:
+            below[tie] = a[tie] < t[tie] - b[tie]
+        masks.append(below)
+    return masks
 
 
-def _consensus_block(extremes: tuple, a, b):
-    min_member, max_member = extremes
-    mid = (a + b) * 0.5
-    return np.where(mid >= max_member, a, np.where(mid < min_member, b, np.nan))
+def admit_block(left: float, right: float, a: np.ndarray,
+                b: np.ndarray) -> np.ndarray:
+    """`admit` over arrays of sorted pairs in [0, 1]: each pair's admitted
+    opinion, NaN where nobody joins.  A left threshold no pair reaches
+    (left > 1, as veto's inf) is skipped."""
+    if left == right:  # every pair admits one candidate
+        below, = _sum_below(a, b, 2.0 * left)
+        return np.where(below, b, a)
+    if left > 1.0:
+        below_right, = _sum_below(a, b, 2.0 * right)
+        return np.where(below_right, b, np.nan)
+    below_right, below_left = _sum_below(a, b, 2.0 * right, 2.0 * left)
+    return np.where(below_left, np.where(below_right, b, np.nan), a)
 
-
-# Majority's float decision is monotone in the median only for pairs at least
-# this wide: for s >= y2 in [0, 1] the two distances then differ by more than
-# their rounding, while a narrower pair can tie them there (y1 = 1e-20,
-# y2 = 2e-20 admits y1 at s = 1e-20 and at s = 0.3, but y2 at s = 1.9e-20).
-_MAJORITY_MONOTONE_WIDTH = 2.0 ** -50
 
 # kind -> (driving quantile p from r, limit tau_p of q_p from p, smoothness
-# constants (c1, c2), decision, block decision, chance that a step admits
-# anyone at a summary, narrowest pair whose block decision is monotone in
-# the summary)
+# constants (c1, c2), thresholds (left, right) from the summary, chance that
+# a step admits anyone at a summary)
 _RULES = {
-    "majority": (lambda r: 0.5, lambda p: 0.5, (1.0, 2.0), majority_decide,
-                 lambda m, a, b: np.where(abs(m - a) <= abs(m - b), a, b),
-                 lambda m: 1.0, _MAJORITY_MONOTONE_WIDTH),
+    "majority": (lambda r: 0.5, lambda p: 0.5, (1.0, 2.0),
+                 lambda m: (m, m), lambda m: 1.0),
     "consensus": (lambda r: None, lambda p: None, (1.0, 2.0),
-                  consensus_decide, _consensus_block, None, 0.0),
+                  lambda extremes: extremes[::-1], None),
     "veto": (lambda r: 1.0 - r, lambda p: oracles.tau(p) if p > 0.5 else None,
-             (1.0, 4.0), veto_decide,
-             lambda q, a, b: np.where((a + b) * 0.5 < q, b, np.nan),
-             oracles.accept_any_veto, 0.0),
+             (1.0, 4.0), lambda q: (math.inf, q), oracles.accept_any_veto),
 }
+KINDS = tuple(_RULES)
 
 
 @dataclass(frozen=True, repr=False, eq=False)
@@ -129,33 +129,23 @@ class RuleSpec(FrozenRecord):
         object.__setattr__(self, "c2", c2)
 
 
-def kernel(rule: RuleSpec):
-    """The rule's decision, mapping its summary (median, (min, max) or the
-    p-quantile) and a pair y1 <= y2 to the admitted opinion, or None when
-    nobody joins."""
-    return _RULES[rule.kind][3]
-
-
-def block_kernel(rule: RuleSpec) -> tuple:
-    """The rule's block decision, mapping (summary, y1, y2) over arrays of
-    sorted pairs to each pair's admitted opinion (NaN: nobody joins), and
-    the chance that a step admits anyone at a fixed summary, which is None
-    for consensus."""
-    return _RULES[rule.kind][4:6]
+def kernel(rule: RuleSpec) -> tuple:
+    """The rule's map from its summary (median, (min, max) or the
+    p-quantile) to the thresholds (left, right) that `admit` and
+    `admit_block` decide by, and the chance that a step admits anyone at a
+    summary, which is None for consensus."""
+    return _RULES[rule.kind][3:5]
 
 
 def block_decisions(rule: RuleSpec, lo, hi, a: np.ndarray,
                     b: np.ndarray) -> tuple:
-    """Each sorted pair's admitted opinion at the quantile rule's summary
-    `lo` (NaN: nobody joins), and a mask of the pairs that every summary
-    from `lo` to `hi` >= `lo` decides the same way: a decision monotone in
-    the summary that agrees at both ends agrees in between."""
-    block, width = _RULES[rule.kind][4], _RULES[rule.kind][6]
-    y, y_hi = block(lo, a, b), block(hi, a, b)
-    sure = (y == y_hi) | ((y != y) & (y_hi != y_hi))  # NaN != NaN
-    if width:
-        sure &= b - a >= width
-    return y, sure
+    """Each sorted pair's admitted opinion at the rule's summary `lo` (NaN:
+    nobody joins), and a mask of the pairs that every summary from `lo` to
+    `hi` decides the same way: an exact decision is monotone in the
+    summary, so one that agrees at both ends agrees in between."""
+    bounds = kernel(rule)[0]
+    y, y_hi = admit_block(*bounds(lo), a, b), admit_block(*bounds(hi), a, b)
+    return y, (y == y_hi) | ((y != y) & (y_hi != y_hi))  # NaN != NaN
 
 
 def decide(rule: RuleSpec, group: GroupState,
@@ -166,4 +156,4 @@ def decide(rule: RuleSpec, group: GroupState,
     An empty group has no summary: reading it raises ValueError."""
     summary = (group.min(), group.max()) if rule.p is None \
         else group.quantile(rule.p)
-    return kernel(rule)(summary, pair.y1, pair.y2)
+    return admit(*kernel(rule)[0](summary), pair.y1, pair.y2)

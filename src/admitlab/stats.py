@@ -21,7 +21,7 @@ from .group import GroupState
 from .oracles import OracleContext, _check_unit, gap_functions
 from .records import Record
 from .rng import Rng
-from .rules import RuleSpec, block_kernel
+from .rules import RuleSpec, admit_block, kernel
 
 _PASS_PAIRS = 1 << 15  # most candidate pairs a frozen-summary pass draws
 # most candidate pairs a frozen-summary call may expect to need (about 13 s
@@ -120,7 +120,7 @@ def _frozen_step_values(rule: RuleSpec, summary: float, trials: int,
     if type(trials) is not int or trials < 1:
         raise ValueError(f"trials must be an int of at least 1, got {trials!r}")
     _check_unit(summary, "summary")
-    decide, accept_prob = block_kernel(rule)
+    bounds, accept_prob = kernel(rule)
     if accept_prob is None:
         raise ValueError(f"no frozen-summary sampler for rule {rule.kind!r}")
     p_acc = accept_prob(summary)
@@ -136,7 +136,8 @@ def _frozen_step_values(rule: RuleSpec, summary: float, trials: int,
     have = 0
     while have < trials:
         m = min(_PASS_PAIRS, math.ceil((trials - have) / p_acc))
-        vals = decide(summary, *sorted_pairs(rng.uniform_block(2 * m)))
+        vals = admit_block(*bounds(summary),
+                           *sorted_pairs(rng.uniform_block(2 * m)))
         vals = vals[vals == vals]  # NaN: the pair admitted nobody
         take = min(len(vals), trials - have)
         out[have:have + take] = vals[:take]

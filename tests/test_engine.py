@@ -13,8 +13,7 @@ from admitlab.engine import _CHUNK_PAIRS, Checkpoint, _next_checkpoint, run
 from admitlab.group import GroupState
 from admitlab.oracles import accept_any_veto
 from admitlab.rng import Rng
-from admitlab.rules import (RuleSpec, consensus_decide, majority_decide,
-                            veto_decide)
+from admitlab.rules import RuleSpec, admit, kernel
 
 
 class StubRng:
@@ -351,22 +350,20 @@ def test_jump_mode_admitted_distribution_matches():
         assert ks < 0.02  # ~1.36*sqrt(2/n) at alpha=0.05 is 0.0136; slack for ties
 
 
-_DECIDE = {"majority": majority_decide, "consensus": consensus_decide,
-           "veto": veto_decide}
-
-
 def _step_loop(members, rule, rng, accepted_target=None, raw_budget=None,
-               extra_quantiles=()):
+               extra_quantiles=(), decide=None):
     """Per-call reference for `run` in steps mode, checkpointed on the same
-    geometric schedule.  It shares neither `run`'s kernel binding nor
-    GroupState: two `rng.uniform()` calls per raw step, the group as the
-    plain sorted list `members` (grown in place), every summary read from
-    it afresh at rank max(1, ceil(p * k)), and the rule's decision called
-    directly.  A summary that no pair passes (veto at q <= 0, consensus
+    geometric schedule.  It shares neither `run`'s blocks nor GroupState:
+    two `rng.uniform()` calls per raw step, the group as the plain sorted
+    list `members` (grown in place), every summary read from it afresh at
+    rank max(1, ceil(p * k)), and `decide(summary, y1, y2)` called
+    directly, by default `admit` on the rule's thresholds.  A summary that
+    no pair passes (left >= 1 and right <= 0: veto at q <= 0, consensus
     extremes (0, 1)) ends the run before its next draw."""
     goal = None if accepted_target is None else len(members) + accepted_target
     checkpoints, admitted, raw = [], [], 0
-    decide = _DECIDE[rule.kind]
+    bounds = kernel(rule)[0]
+    decide = decide or (lambda s, y1, y2: admit(*bounds(s), y1, y2))
 
     def quantile(p):
         return members[max(1, math.ceil(Fraction(p) * len(members))) - 1]
@@ -384,9 +381,8 @@ def _step_loop(members, rule, rng, accepted_target=None, raw_budget=None,
             (raw_budget is None or raw < raw_budget):
         summary = (members[0], members[-1]) if rule.p is None \
             else quantile(rule.p)
-        stuck = summary == (0.0, 1.0) if rule.p is None \
-            else decide(summary, 0.0, 0.0) is None
-        if stuck:
+        left, right = bounds(summary)
+        if left >= 1.0 and right <= 0.0:  # draws lie in [0, 1)
             break
         u1, u2 = rng.uniform(), rng.uniform()
         raw += 1
@@ -424,6 +420,44 @@ def test_run_matches_step_loop(rule, initial, budget, seed):
     assert traj.admitted == ref_admitted
     assert traj.raw_steps == ref_raw
     assert traj.accepted == len(ref_admitted) > 0
+
+
+def _exact_shadow(rule):
+    """A decision for `_step_loop` that decides each step in Fractions, on
+    the exact pair sum against twice the rule's thresholds (exact floats),
+    and counts the steps where `admit` decides otherwise."""
+    bounds = kernel(rule)[0]
+    disagreements = [0]
+
+    def decide(summary, y1, y2):
+        left, right = bounds(summary)
+        total = Fraction(y1) + Fraction(y2)
+        y = y1 if left < math.inf and total >= Fraction(2.0 * left) else \
+            y2 if total < Fraction(2.0 * right) else None
+        disagreements[0] += y != admit(left, right, y1, y2)
+        return y
+
+    return decide, disagreements
+
+
+@pytest.mark.parametrize("rule, initial, budget", [
+    (RuleSpec("majority"), [0.25], {"accepted_target": 50000}),
+    (RuleSpec("veto", r=0.25), [1.0], {"accepted_target": 40000}),
+    (RuleSpec("veto", r=0.75), [1.0], {"raw_budget": 100000}),
+    (RuleSpec("consensus"), [0.5], {"raw_budget": 100000}),
+], ids=["majority", "veto-0.25", "veto-0.75", "consensus"])
+def test_run_matches_exact_shadow(rule, initial, budget):
+    # the per-call loop re-decides every step in Fractions on the same
+    # draws; the float decision never disagrees, and `run` admits the
+    # exact process's members
+    traj = run(GroupState(initial), rule, Rng(12), log_admitted=True,
+               **budget)
+    decide, disagreements = _exact_shadow(rule)
+    _, ref_admitted, ref_raw = _step_loop(sorted(initial), rule, Rng(12),
+                                          decide=decide, **budget)
+    assert disagreements == [0]
+    assert traj.admitted == ref_admitted
+    assert traj.raw_steps == ref_raw >= 40000
 
 
 @pytest.mark.parametrize("rule, initial, legs", [
@@ -703,9 +737,8 @@ def test_quantile_block_ends_where_possible_admissions_reach_b():
 
 def test_narrow_majority_pairs_are_walked():
     # the median 1.9e-20 sits in a window [1e-20, 0.3]; the pair
-    # (1e-20, 2e-20) admits its left member at both ends, where the two
-    # distances tie or the left one is 0, but its right member at the
-    # median itself: a pair narrower than 2^-50 must be walked
+    # (1e-20, 2e-20) admits its left member at the window's bottom but its
+    # right member at its top and at the median itself, so it is walked
     initial = [1e-20] * 1500 + [1.9e-20] + [0.3] * 1500
     stream = [2e-20, 1e-20] + Rng(3).uniform_block(400).tolist()
     rule = RuleSpec("majority")

@@ -140,7 +140,7 @@ def test_benchmark_api_resolves():
 
 def test_stats_has_no_rule_kind_branch():
     # each admission rule's decision lives in rules.py: stats draws through
-    # rules.block_kernel and never compares a rule's kind to a name
+    # rules.admit_block and never compares a rule's kind to a name
     tree = ast.parse((SRC / "stats.py").read_text(), filename="stats.py")
     found = []
     for node in ast.walk(tree):
@@ -153,6 +153,49 @@ def test_stats_has_no_rule_kind_branch():
                     for x in sides for c in ast.walk(x)):
             found.append(f"stats.py:{node.lineno}")
     assert not found, f"rule kind compared to a name: {found}"
+
+
+def test_pair_sums_meet_summaries_only_in_the_exact_sign_helpers():
+    # every rule decides on the exact sign of y1 + y2 - 2s, taken in
+    # `admit` and `_sum_below` alone: elsewhere in rules.py no comparison
+    # reads arithmetic (a sum, a midpoint, a distance), directly or through
+    # a name its function or lambda binds to arithmetic, so a float
+    # midpoint cannot come back with a rule
+    helpers = {"admit", "_sum_below"}
+    tree = ast.parse((SRC / "rules.py").read_text(), filename="rules.py")
+    functions = (ast.FunctionDef, ast.Lambda)
+
+    def scope(node):
+        # the nodes of one function, lambda or module, nested ones left out
+        yield node
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, functions):
+                yield from scope(child)
+
+    def arithmetic(node):
+        return any(isinstance(n, ast.BinOp) and isinstance(
+            n.op, (ast.Add, ast.Sub, ast.Mult, ast.Div)) for n in scope(node))
+
+    found, checked = [], 0
+    for owner in [tree, *(node for node in ast.walk(tree)
+                          if isinstance(node, functions))]:
+        nodes = list(scope(owner))
+        compares = [node for node in nodes if isinstance(node, ast.Compare)]
+        if getattr(owner, "name", None) in helpers:
+            checked += any(map(arithmetic, compares))
+            continue
+        bound = {n.id for node in nodes
+                 if isinstance(node, (ast.Assign, ast.AugAssign,
+                                      ast.AnnAssign, ast.NamedExpr))
+                 and node.value is not None and arithmetic(node.value)
+                 for t in getattr(node, "targets", None) or [node.target]
+                 for n in ast.walk(t) if isinstance(n, ast.Name)}
+        found += [f"rules.py:{node.lineno}" for node in compares
+                  if arithmetic(node) or any(
+                      isinstance(n, ast.Name) and n.id in bound
+                      for n in ast.walk(node))]
+    assert checked == len(helpers)
+    assert not found, f"pair arithmetic compared outside the helpers: {found}"
 
 
 def test_group_insert_not_called_in_a_loop():

@@ -1,6 +1,8 @@
 """Rule decisions against brute-force vote counting."""
 
+import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,13 +14,31 @@ from admitlab.rng import Rng
 from admitlab.rules import (
     CandidatePair,
     RuleSpec,
+    admit,
+    admit_block,
     block_decisions,
-    block_kernel,
-    consensus_decide,
     decide,
-    majority_decide,
-    veto_decide,
+    kernel,
 )
+
+RULES = [RuleSpec("majority"), RuleSpec("veto", r=0.25), RuleSpec("consensus")]
+
+
+def _scalar(rule):
+    """The rule's scalar decision from its summary: `admit` on the
+    thresholds its row reads from the summary."""
+    bounds = kernel(rule)[0]
+    return lambda summary, y1, y2: admit(*bounds(summary), y1, y2)
+
+
+def _block(rule):
+    bounds = kernel(rule)[0]
+    return lambda summary, a, b: admit_block(*bounds(summary), a, b)
+
+
+majority_decide = _scalar(RuleSpec("majority"))
+consensus_decide = _scalar(RuleSpec("consensus"))
+veto_decide = _scalar(RuleSpec("veto", r=0.25))
 
 
 def test_majority_examples():
@@ -81,7 +101,7 @@ def test_rulespec_validation():
         for r in (0.3, 0.0):
             with pytest.raises(ValueError, match=kind):
                 RuleSpec(kind, r=r)
-    assert block_kernel(RuleSpec("consensus"))[1] is None  # no chance
+    assert kernel(RuleSpec("consensus"))[1] is None  # no chance
 
 
 def _vote_left(member, y1, y2):
@@ -155,12 +175,76 @@ def test_veto_matches_fraction_count():
             assert got == expected
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1))
-def test_decisions_are_pure(m, a, b):
+def _exact(rule, summary, y1, y2):
+    """The rule's decision from its definition, in Fractions: a member
+    votes for the closer candidate, so left iff it sits at or below the
+    exact midpoint (ties vote left); majority admits the median's vote,
+    consensus a unanimous vote (the extremes' votes), veto the right
+    candidate iff the exact midpoint is below q."""
+    mid = (Fraction(y1) + Fraction(y2)) / 2
+
+    def left(x):
+        return Fraction(x) <= mid
+
+    if rule.kind == "majority":
+        return y1 if left(summary) else y2
+    if rule.kind == "veto":
+        return y2 if mid < Fraction(summary) else None
+    lo, hi = summary
+    return y1 if left(hi) else y2 if not left(lo) else None
+
+
+_unit = st.one_of(st.floats(0.0, 1.0),
+                  st.sampled_from([0.0, 5e-324, 2.0 ** -1022, 1e-300, 1e-20,
+                                   2.0 ** -53, 1.0 - 2.0 ** -53, 1.0]))
+
+
+@st.composite
+def _pair_and_summaries(draw):
+    # summaries at, next to and far from the pair's float midpoint, so that
+    # exact ties and sums rounding onto twice the summary come up
+    a, b = draw(_unit), draw(_unit)
     y1, y2 = min(a, b), max(a, b)
-    assert majority_decide(m, y1, y2) == majority_decide(m, y1, y2)
-    assert veto_decide(m, y1, y2) == veto_decide(m, y1, y2)
+    mid = (y1 + y2) / 2
+    near = st.sampled_from([y1, y2, mid, math.nextafter(mid, 0.0),
+                            math.nextafter(mid, 1.0)])
+    s, t = draw(st.one_of(_unit, near)), draw(st.one_of(_unit, near))
+    return y1, y2, s, (min(s, t), max(s, t))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_pair_and_summaries())
+def test_decisions_match_fraction_decisions(case):
+    # scalar and block decisions equal the exact decision on any floats in
+    # [0, 1], subnormals and midpoint ties included
+    y1, y2, s, extremes = case
+    a, b = np.array([0.25, y1]), np.array([0.75, y2])
+    for rule in RULES:
+        summary = extremes if rule.p is None else s
+        want = _exact(rule, summary, y1, y2)
+        assert _scalar(rule)(summary, y1, y2) == want
+        got = _block(rule)(summary, a, b)[1]
+        assert (None if got != got else got) == want
+
+
+def test_exact_sum_decides_where_the_float_midpoint_rounds():
+    # fl(y1 + y2) rounds onto twice the summary in each case, and the float
+    # midpoint decided them the other way: veto rejected 1 - 2^-53,
+    # consensus admitted 0.5, majority's two distances tied at 0.3
+    top = 1.0 - 2.0 ** -53
+    cases = [(RuleSpec("veto", r=0.25), [0.75], (0.5, top), top),
+             (RuleSpec("consensus"), [0.6, 0.75], (0.5, top), None),
+             (RuleSpec("majority"), [0.3], (1e-20, 2e-20), 2e-20)]
+    for rule, members, (y1, y2), want in cases:
+        g = GroupState(members)
+        summary = (g.min(), g.max()) if rule.p is None else g.quantile(rule.p)
+        assert _scalar(rule)(summary, y1, y2) == want
+        a, b = np.array([0.1, y1, 0.5]), np.array([0.2, y2, 0.6])
+        got = _block(rule)(summary, a, b).tolist()
+        assert [None if y != y else y for y in got] == \
+            [_scalar(rule)(summary, *pair) for pair in zip(a, b)]
+        assert (None if got[1] != got[1] else got[1]) == want
+        assert decide(rule, g, CandidatePair(y1, y2)) == want
 
 
 def test_block_decisions_match_scalar_decisions():
@@ -177,9 +261,9 @@ def test_block_decisions_match_scalar_decisions():
         y1, y2 = (np.array(col) for col in zip(*pairs))
         for rule, scalar in ((RuleSpec("majority"), majority_decide),
                              (RuleSpec("veto", r=0.25), veto_decide)):
-            block, accept_prob = block_kernel(rule)
+            accept_prob = kernel(rule)[1]
             want = [scalar(s, a, b) for a, b in pairs]
-            got = block(s, y1, y2).tolist()
+            got = _block(rule)(s, y1, y2).tolist()
             assert [None if y != y else y for y in got] == want
             assert 0.0 < accept_prob(s) <= 1.0
 
@@ -214,8 +298,7 @@ def test_block_decisions_sure_for_every_summary_between(rule):
         else:
             ends, spans = (lo, hi), grid
         y, sure = block_decisions(rule, *ends, a, b)
-        scalar = {"majority": majority_decide, "veto": veto_decide,
-                  "consensus": consensus_decide}[rule.kind]
+        scalar = _scalar(rule)
         for (p1, p2), yi, si in zip(pairs, y.tolist(), sure.tolist()):
             first = scalar(ends[0], p1, p2)
             assert (None if yi != yi else yi) == first

@@ -78,7 +78,7 @@ def test_density_profile_counts_sum_to_k():
     # group as the density monitors count it
     rng = Rng(3)
     g = GroupState(rng.uniform_block(5000))
-    counts = [g.count_interval(i / 10, (i + 1) / 10, "half_open")
+    counts = [g.count_lt((i + 1) / 10) - g.count_lt(i / 10)
               for i in range(9)] + [g.count_interval(0.9, 1.0, "closed")]
     assert sum(counts) == g.size
 
@@ -113,7 +113,7 @@ def test_density_profile_attached_verdicts():
 
 def test_density_profile_point_mass_flags_upper():
     g = GroupState([0.35] * 500)
-    assert g.count_interval(0.3, 0.4, "half_open") == 500
+    assert g.count_lt(0.4) - g.count_lt(0.3) == 500
     verdict = check_density_bounds(g, widths=[0.1], lower_per_len=0.0,
                                    upper_per_len=7 * g.size)
     # one window holds everything: upper bound 0.7*k < k flags it
